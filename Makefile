@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench chaos cluster-chaos steal-stress prefetch-stress interleave-stress pager-stress fuzz ci figures verify dat clean
+.PHONY: all build vet test race bench chaos stress cluster-chaos steal-stress prefetch-stress interleave-stress pager-stress fuzz ci figures verify dat clean
 
 all: build vet test
 
@@ -15,20 +15,27 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-detect the packages designed to be race-free. The optimistic index
+# The packages designed to be race-free, listed once: `race` runs them and
+# `ci` runs `race`, so the two cannot drift. The optimistic index
 # structures intentionally perform validated racy reads (seqlock pattern)
 # and are excluded by design; see README "Status". kvstore and wal are
 # included: under `-race` the store selects the serialized tree mode
 # (internal/kvstore/treemode_race.go), which is data-race-free by
 # construction.
+RACE_PKGS = ./internal/mxtask ./internal/queue ./internal/latch \
+	./internal/epoch ./internal/alloc ./internal/tbb ./internal/metrics \
+	./internal/ycsb ./internal/tpch ./internal/hashjoin ./internal/sim \
+	./internal/wal ./internal/kvstore ./internal/faultfs ./internal/linearize \
+	./internal/netfault ./internal/repl ./internal/prefetch ./internal/pager \
+	./cmd/mxload
+
+# Race-detect RACE_PKGS, re-run the kvstore server/protocol suite behind
+# the 4-shard router and behind a thrashing 8-frame paged tier, and sweep
+# the seeded stress suites.
 race:
-	$(GO) test -race ./internal/mxtask ./internal/queue ./internal/latch \
-		./internal/epoch ./internal/alloc ./internal/tbb ./internal/metrics \
-		./internal/ycsb ./internal/tpch ./internal/hashjoin ./internal/sim \
-		./internal/wal ./internal/kvstore ./internal/faultfs ./internal/linearize \
-		./internal/netfault ./internal/repl ./internal/prefetch ./internal/pager \
-		./cmd/mxload
+	$(GO) test -race $(RACE_PKGS)
 	MXKV_SHARDS=4 $(GO) test -race -count=1 ./internal/kvstore
+	MXKV_PAGED=1 $(GO) test -race -count=1 ./internal/kvstore
 	$(GO) test -race -count=1 -shuffle=on -run 'TestGroup' ./internal/mxtask
 	$(MAKE) prefetch-stress
 	$(MAKE) interleave-stress
@@ -42,71 +49,46 @@ bench:
 # recover from the crash image, and linearizability-check the merged
 # pre/post-crash history; then drive the network fault matrix — the
 # netfault proxy injecting latency, blackholes, RSTs, and one-way
-# partitions into the client/server path. Race-detected; failures print
-# the seed and fault index needed to reproduce the exact schedule.
+# partitions into the client/server path — ten cluster schedules, and the
+# scheduler stress. Race-detected; failures print the seed and fault index
+# needed to reproduce the exact schedule.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/kvstore
 	$(GO) test -race -count=1 ./internal/netfault
-	MXKV_CLUSTER_SCHEDULES=10 $(GO) test -race -count=1 -timeout 600s \
-		-run 'TestClusterChaosSchedules' ./internal/repl
+	$(MAKE) cluster-chaos SEEDS=10
 	$(MAKE) steal-stress
 
-# Scheduler stress (DESIGN.md §7): the cross-runtime stealing test suite
-# swept over 20 seeds under the race detector — adversarial spawn patterns
-# (hot node, bursty waves, resource-bound mixes) with exactly-once and
-# mutual-exclusion ledgers, the steal-exclusion invariants, pending
-# accounting, and shared-epoch reclamation. Shuffled so inter-test state
-# leaks can't hide.
-steal-stress:
-	MXTASK_STEAL_SEEDS=20 $(GO) test -race -count=1 -shuffle=on -timeout 600s \
-		-run 'TestGroup' -v ./internal/mxtask
+# One stress rule: the tests matching RUN in PKG, swept over SEEDS seeds
+# (handed to the suite through its own environment variable, SEEDS_VAR)
+# under the race detector, shuffled so state cannot leak between tests.
+#
+#	make stress PKG=./internal/pager RUN=TestPager SEEDS_VAR=MXPG_SEEDS SEEDS=50
+#
+# The named sweeps below are aliases for it (DESIGN.md section in brackets):
+#   steal-stress       [§7]  cross-runtime stealing: adversarial spawn
+#                            patterns with exactly-once and mutual-exclusion
+#                            ledgers, steal exclusions, shared-epoch reclamation
+#   prefetch-stress    [§8]  learned prefetcher: sequential, strided,
+#                            phase-changing, interleaved and random streams
+#   cluster-chaos      [§6]  3-node cluster through seeded schedules of
+#                            primary/replica crashes and one-way partitions;
+#                            per-phase linearizability, acked-write survival,
+#                            replica reads checked against the final WAL
+#   interleave-stress  [§9]  batched traversals: lockstep invariance, group
+#                            descents racing splits and root growth
+#   pager-stress       [§10] buffer-pool shape sweep against an oracle under
+#                            forced eviction, the paged store's lockstep
+#                            invariance and crash-at-every-fs-op suites
+SEEDS ?= 20
+stress:
+	$(SEEDS_VAR)=$(SEEDS) $(GO) test -race -count=1 -shuffle=on -timeout 900s \
+		-run '$(RUN)' -v $(PKG)
 
-# Learned-prefetcher stress (DESIGN.md §8): the seeded access-pattern
-# suite — sequential, strided, phase-changing, interleaved, and random
-# streams — swept over 20 seeds under the race detector, checking stride
-# induction, adaptive-window behavior, the self-disable gate, and
-# re-enable on fresh patterns. Shuffled so stream state can't leak
-# between pattern classes.
-prefetch-stress:
-	MXPF_SEEDS=20 $(GO) test -race -count=1 -shuffle=on -timeout 600s \
-		-run 'TestPrefetchPatterns' -v ./internal/prefetch
-
-# Cluster chaos (DESIGN.md §6): a 3-node replicated cluster — all links
-# through netfault proxies — driven through 20 seeded fault schedules of
-# primary crashes (torn-tail disk images), replica crashes, and one-way
-# replication-link partitions, under concurrent redirect-following
-# writers and bounded-staleness readers. Strict ops are checked for
-# per-phase linearizability (the timeline cuts at each primary crash),
-# acked-durable writes for survival into the final timeline, and every
-# windowed replica read against the final primary's replayed WAL.
-cluster-chaos:
-	MXKV_CLUSTER_SCHEDULES=20 $(GO) test -race -count=1 -timeout 900s \
-		-run 'TestClusterChaosSchedules' -v ./internal/repl
-
-# Interleaved-descent stress (DESIGN.md §9): the batched-traversal suite —
-# lockstep invariance against the sequential reference, group descents
-# racing splits and root growth, mixed batch workloads with exactly-once
-# ledgers — swept over 20 seeds under the race detector (where the store
-# runs the all-fallback serialized mode, covering both sides of the
-# contract). Shuffled so tree/runtime state can't leak between tests.
-interleave-stress:
-	MXIL_SEEDS=20 $(GO) test -race -count=1 -shuffle=on -timeout 600s \
-		-run 'TestInterleave|TestBatchCompletionContract' -v \
-		./internal/blinktree ./internal/kvstore
-
-# Paged-tier stress (DESIGN.md §10): the pager's seeded buffer-pool
-# shape sweep (page size x frames x workers, stores/loads/frees/touches
-# against an oracle under forced eviction) over 20 seeds, plus the paged
-# store's lockstep invariance and crash-at-every-fs-op suites, all under
-# the race detector. Shuffled so pool/runtime state can't leak between
-# shapes. The paged server suite rides MXKV_PAGED (every backend behind a
-# thrashing 8-frame pool).
-pager-stress:
-	MXPG_SEEDS=20 $(GO) test -race -count=1 -shuffle=on -timeout 600s \
-		-run 'TestPager' -v ./internal/pager
-	$(GO) test -race -count=1 -shuffle=on -timeout 600s \
-		-run 'TestPaged|TestChaosPaged' -v ./internal/kvstore
-	MXKV_PAGED=1 $(GO) test -race -count=1 ./internal/kvstore
+steal-stress:      ; $(MAKE) stress PKG=./internal/mxtask RUN=TestGroup SEEDS_VAR=MXTASK_STEAL_SEEDS
+prefetch-stress:   ; $(MAKE) stress PKG=./internal/prefetch RUN=TestPrefetchPatterns SEEDS_VAR=MXPF_SEEDS
+cluster-chaos:     ; $(MAKE) stress PKG=./internal/repl RUN=TestClusterChaosSchedules SEEDS_VAR=MXKV_CLUSTER_SCHEDULES
+interleave-stress: ; $(MAKE) stress PKG='./internal/blinktree ./internal/kvstore' RUN='TestInterleave|TestBatchCompletionContract' SEEDS_VAR=MXIL_SEEDS
+pager-stress:      ; $(MAKE) stress PKG='./internal/pager ./internal/kvstore' RUN='TestPager|TestPaged|TestChaosPaged' SEEDS_VAR=MXPG_SEEDS
 
 # Fuzz smoke: 10s of coverage-guided input generation per target (`go test`
 # allows one fuzz target per invocation).
@@ -120,24 +102,19 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzPageCodec' -fuzztime=10s ./internal/pager
 
 # The gate run before merging: vet, full build, an order-shuffled full
-# test pass (catches tests coupled through shared state), race-detected
-# tests of the concurrency-critical packages (the WAL and the store it
-# backs), the chaos crash-recovery sweep, and a fuzz smoke pass over
-# every fuzz target.
+# test pass (catches tests coupled through shared state), the benchmark
+# module's own harness tests (it is a separate module, outside ./...),
+# everything `race` covers, two sharded/paged benchmark smokes, the chaos
+# sweep, and a fuzz smoke pass over every fuzz target.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -count=1 -shuffle=on ./...
-	$(GO) test -race ./internal/wal ./internal/kvstore ./internal/queue \
-		./internal/epoch ./internal/faultfs ./internal/linearize \
-		./internal/netfault ./internal/repl ./internal/pager ./cmd/mxload
-	MXKV_SHARDS=4 $(GO) test -race -count=1 ./internal/kvstore
+	(cd benchmark && $(GO) test ./...)
+	$(MAKE) race
 	$(GO) test -run '^$$' -bench 'BenchmarkServerSharded' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServerPagedYCSB' -benchtime 100x .
 	$(MAKE) chaos
-	$(MAKE) prefetch-stress
-	$(MAKE) interleave-stress
-	$(MAKE) pager-stress
 	$(MAKE) fuzz
 
 figures:

@@ -1,8 +1,7 @@
 // Command mxkv serves the MxTask-based key-value store over TCP (the
-// paper's end-to-end application). Protocol:
-//
-//	SET <key> <value> | GET <key> | DEL <key> | SCAN <from> <to> [limit]
-//	MSET <k> <v> ... | MGET <key> ... | COUNT | STATS | PING | QUIT
+// paper's end-to-end application). The line protocol — verbs, replies,
+// limits, STATS fields — is specified in one place, the package comment of
+// internal/kvstore/wire.go.
 //
 // Clients may pipeline: requests are parsed and dispatched as they
 // arrive and replies are written back strictly in request order, up to
@@ -56,7 +55,6 @@ import (
 	"mxtasking/internal/epoch"
 	"mxtasking/internal/kvstore"
 	"mxtasking/internal/mxtask"
-	"mxtasking/internal/pager"
 	"mxtasking/internal/prefetch"
 	"mxtasking/internal/repl"
 )
@@ -351,14 +349,11 @@ func main() {
 		node.Close()
 		store = node.Store()
 	}
-	if ps, ok := store.(interface {
-		PagerStats() (pager.Stats, bool)
-	}); ok {
-		if pg, on := ps.PagerStats(); on {
-			fmt.Printf("mxkv: pager hits=%d misses=%d (%.0f%% hit) evictions=%d writebacks=%d pages=%d resident=%d load-p50=%dus load-p99=%dus\n",
-				pg.Hits, pg.Misses, 100*pg.HitRate(), pg.Evictions, pg.Writebacks,
-				pg.Pages, pg.Resident, pg.LoadP50Micros, pg.LoadP99Micros)
-		}
+	bs := store.StatsFields()
+	if pg := bs.Pager; pg != nil {
+		fmt.Printf("mxkv: pager hits=%d misses=%d (%.0f%% hit) evictions=%d writebacks=%d pages=%d resident=%d load-p50=%dus load-p99=%dus\n",
+			pg.Hits, pg.Misses, 100*pg.HitRate(), pg.Evictions, pg.Writebacks,
+			pg.Pages, pg.Resident, pg.LoadP50Micros, pg.LoadP99Micros)
 	}
 	if durable {
 		if err := store.(interface{ Close() error }).Close(); err != nil {
@@ -377,19 +372,15 @@ func main() {
 			log.Printf("mxkv: pager close: %v", err)
 		}
 	}
-	st := store.Stats()
+	st := bs.Total()
 	fmt.Printf("mxkv: served %d gets, %d sets, %d dels\n", st.Gets, st.Sets, st.Dels)
-	if is, ok := store.(interface {
-		InterleaveStats() mxtask.InterleaveStats
-	}); ok {
-		if il := is.InterleaveStats(); il.Groups > 0 {
-			fmt.Printf("mxkv: interleave groups=%d cursors=%d retired=%d fallbacks=%d steps/turn=%.1f width<=%d\n",
-				il.Groups, il.Cursors, il.Retired, il.Fallbacks,
-				float64(il.Steps)/float64(il.Turns), il.MaxWidth)
-		}
+	if il := bs.Interleave; il.Groups > 0 {
+		fmt.Printf("mxkv: interleave groups=%d cursors=%d retired=%d fallbacks=%d steps/turn=%.1f width<=%d\n",
+			il.Groups, il.Cursors, il.Retired, il.Fallbacks,
+			float64(il.Steps)/float64(il.Turns), il.MaxWidth)
 	}
 	if sharded != nil {
-		for i, ss := range sharded.StatsByShard() {
+		for i, ss := range bs.PerShard {
 			fmt.Printf("mxkv: shard %d served %d gets, %d sets, %d dels\n", i, ss.Gets, ss.Sets, ss.Dels)
 		}
 		rm := sharded.RouterMetrics()

@@ -370,10 +370,6 @@ type gatedBackend struct {
 	release chan struct{}
 }
 
-func (g *gatedBackend) Get(key uint64, done func(Result)) {
-	g.testBackend.Get(key, func(r Result) { <-g.release; done(r) })
-}
-
 func (g *gatedBackend) GetBatch(keys []uint64, each func(int, Result)) {
 	g.testBackend.GetBatch(keys, func(i int, r Result) { <-g.release; each(i, r) })
 }

@@ -2,14 +2,11 @@ package kvstore
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"mxtasking/internal/blinktree"
@@ -36,103 +33,6 @@ const (
 // The wrapping error carries the last underlying cause; test with
 // errors.Is(err, ErrTooManyRetries).
 var ErrTooManyRetries = errors.New("kvstore: too many retries")
-
-// ErrOverloaded marks a request the server shed at its admission gate
-// ("ERR overloaded retry-after=<ms>") instead of executing. A shed
-// request definitely did not run, so retrying it — after the hinted
-// delay — is always safe, writes included. Test with
-// errors.Is(err, ErrOverloaded); the concrete type is *OverloadedError.
-var ErrOverloaded = errors.New("kvstore: server overloaded")
-
-// OverloadedError is the parsed form of the server's admission-control
-// rejection, carrying its Retry-After hint.
-type OverloadedError struct {
-	// RetryAfter is the server's backoff hint (zero if absent).
-	RetryAfter time.Duration
-}
-
-func (e *OverloadedError) Error() string {
-	return fmt.Sprintf("kvstore: server overloaded (retry after %v)", e.RetryAfter)
-}
-
-// Is lets errors.Is(err, ErrOverloaded) match.
-func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
-
-// parseOverloadedReply recognizes the admission gate's rejection line.
-func parseOverloadedReply(reply string) (retryAfter time.Duration, ok bool) {
-	rest, found := strings.CutPrefix(reply, "ERR overloaded")
-	if !found {
-		return 0, false
-	}
-	for _, f := range strings.Fields(rest) {
-		if v, isHint := strings.CutPrefix(f, "retry-after="); isHint {
-			if ms, err := strconv.Atoi(v); err == nil && ms >= 0 {
-				retryAfter = time.Duration(ms) * time.Millisecond
-			}
-		}
-	}
-	return retryAfter, true
-}
-
-// ErrReadonly marks a write rejected because the server is a replica (or a
-// fenced ex-primary): "ERR readonly primary=<addr>". Like an overload
-// shed, a readonly rejection definitely did not execute, so replaying it —
-// against the advertised primary — is always safe. Test with
-// errors.Is(err, ErrReadonly); the concrete type is *ReadonlyError.
-var ErrReadonly = errors.New("kvstore: server is readonly")
-
-// ReadonlyError is the parsed form of a readonly rejection.
-type ReadonlyError struct {
-	// Primary is the address the server believes can take writes (empty
-	// when the server does not know — e.g. a fenced primary awaiting a
-	// supervisor).
-	Primary string
-}
-
-func (e *ReadonlyError) Error() string {
-	if e.Primary == "" {
-		return "kvstore: server is readonly (no known primary)"
-	}
-	return fmt.Sprintf("kvstore: server is readonly (primary %s)", e.Primary)
-}
-
-// Is lets errors.Is(err, ErrReadonly) match.
-func (e *ReadonlyError) Is(target error) bool { return target == ErrReadonly }
-
-// parseReadonlyReply recognizes the role gate's rejection line.
-func parseReadonlyReply(reply string) (primary string, ok bool) {
-	rest, found := strings.CutPrefix(reply, "ERR readonly")
-	if !found {
-		return "", false
-	}
-	for _, f := range strings.Fields(rest) {
-		if v, isAddr := strings.CutPrefix(f, "primary="); isAddr {
-			primary = v
-		}
-	}
-	return primary, true
-}
-
-// ErrStale marks a bounded-staleness read the replica refused: its lag
-// exceeded the requested bound, or it is still bootstrapping.
-var ErrStale = errors.New("kvstore: replica too stale")
-
-// replyError converts a server error reply line into a typed error:
-// admission-gate rejections become *OverloadedError (matching
-// ErrOverloaded), role rejections *ReadonlyError (matching ErrReadonly),
-// everything else the legacy opaque error.
-func replyError(reply string) error {
-	if ra, ok := parseOverloadedReply(reply); ok {
-		return &OverloadedError{RetryAfter: ra}
-	}
-	if primary, ok := parseReadonlyReply(reply); ok {
-		return &ReadonlyError{Primary: primary}
-	}
-	if strings.HasPrefix(reply, "ERR stale") || strings.HasPrefix(reply, "ERR catching-up") {
-		return fmt.Errorf("%w: %s", ErrStale, reply)
-	}
-	return errors.New("kvstore: " + reply)
-}
 
 // DialConfig tunes the client's resilience: connect/read/write deadlines
 // and the retry policy for blocking operations. The zero value gives the
@@ -284,25 +184,6 @@ func DialAnyWith(addrs []string, cfg DialConfig) (*Client, error) {
 
 // Addr returns the address of the current connection.
 func (c *Client) Addr() string { return c.addr }
-
-// scanFullLines is bufio.ScanLines minus its final-token leniency: a
-// line with no terminating newline is never yielded, even at stream end.
-// bufio.Scanner hands the split function atEOF=true on ANY read error —
-// including an expired read deadline — so with the default split a
-// deadline firing mid-reply would surface the reply's prefix ("VALUE"
-// cut from "VALUE 100") as a complete line and a retryable timeout would
-// masquerade as a protocol error. The newline is the frame terminator;
-// without it there is no frame.
-func scanFullLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		line := data[:i]
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		return i + 1, line, nil
-	}
-	return 0, nil, nil
-}
 
 // dialOne opens one TCP connection, bounded by DialTimeout.
 func (c *Client) dialOne(addr string) (net.Conn, error) {
@@ -518,27 +399,24 @@ func (c *Client) do(line string, idempotent bool) (string, error) {
 
 // SendGet queues a GET without waiting; match with AwaitGet.
 func (c *Client) SendGet(key uint64) error {
-	return c.send(fmt.Sprintf("GET %d", key))
+	return c.send(request{verb: vGet, key: key}.encode())
 }
 
 // SendSet queues a SET without waiting; match with AwaitSet.
 func (c *Client) SendSet(key, value uint64) error {
-	return c.send(fmt.Sprintf("SET %d %d", key, value))
+	return c.send(request{verb: vSet, key: key, val: value}.encode())
 }
 
 // SendDelete queues a DEL without waiting; match with AwaitDelete.
 func (c *Client) SendDelete(key uint64) error {
-	return c.send(fmt.Sprintf("DEL %d", key))
+	return c.send(request{verb: vDel, key: key}.encode())
 }
 
 // SendScan queues a SCAN of [from, to) without waiting; match with
 // AwaitScan. limit <= 0 leaves the cap to the server (DefaultScanLimit);
 // the server caps explicit limits at MaxScanLimit.
 func (c *Client) SendScan(from, to uint64, limit int) error {
-	if limit > 0 {
-		return c.send(fmt.Sprintf("SCAN %d %d %d", from, to, limit))
-	}
-	return c.send(fmt.Sprintf("SCAN %d %d", from, to))
+	return c.send(request{verb: vScan, key: from, val: to, limit: limit}.encode())
 }
 
 // AwaitGet reads the oldest outstanding reply as a GET reply.
@@ -582,7 +460,7 @@ func (c *Client) AwaitScan() (pairs []blinktree.KV, truncated bool, err error) {
 // Get fetches a key. An idempotent read: with MaxRetries set it is
 // replayed across reconnects and overload backoffs.
 func (c *Client) Get(key uint64) (value uint64, found bool, err error) {
-	reply, err := c.do(fmt.Sprintf("GET %d", key), true)
+	reply, err := c.do(request{verb: vGet, key: key}.encode(), true)
 	if err != nil {
 		return 0, false, err
 	}
@@ -591,10 +469,11 @@ func (c *Client) Get(key uint64) (value uint64, found bool, err error) {
 
 // Set stores key=value; overwrote reports whether the key existed. A
 // shed ("ERR overloaded") Set is retried — it never executed — but a
-// transport failure mid-Set is returned as-is: the write may or may not
+// transport failure mid-Set, or a write the server executed but could not
+// commit (ErrWriteFailed), is returned as-is: the write may or may not
 // have applied, and only the caller can decide what that means.
 func (c *Client) Set(key, value uint64) (overwrote bool, err error) {
-	reply, err := c.do(fmt.Sprintf("SET %d %d", key, value), false)
+	reply, err := c.do(request{verb: vSet, key: key, val: value}.encode(), false)
 	if err != nil {
 		return false, err
 	}
@@ -603,107 +482,11 @@ func (c *Client) Set(key, value uint64) (overwrote bool, err error) {
 
 // Delete removes a key. Retry semantics match Set.
 func (c *Client) Delete(key uint64) (existed bool, err error) {
-	reply, err := c.do(fmt.Sprintf("DEL %d", key), false)
+	reply, err := c.do(request{verb: vDel, key: key}.encode(), false)
 	if err != nil {
 		return false, err
 	}
 	return parseDeleteReply(reply)
-}
-
-// ServerStats is a parsed STATS reply: aggregate wire and operation
-// counters plus the per-shard operation breakdown.
-type ServerStats struct {
-	Gets, Sets, Dels uint64
-	Errs, TooLong    uint64
-	// Shed counts requests the admission gate rejected with
-	// "ERR overloaded" instead of dispatching.
-	Shed uint64
-	// DeadlineDrops counts connections reaped by a read (idle) or write
-	// deadline.
-	DeadlineDrops uint64
-	// PerShard holds each shard's Gets/Sets/Dels in shard order; length
-	// is the server's shard count (1 for an unsharded store).
-	PerShard []Stats
-	// Extra holds every field this client version does not know by name
-	// (for example replication's role=primary or lag=3), keyed by field
-	// name with the raw value text. Servers grow new STATS fields across
-	// versions; an old client must report them rather than reject the
-	// whole reply. Nil when the reply had no unknown fields.
-	Extra map[string]string
-}
-
-// ExtraUint parses an Extra field as a decimal counter.
-func (s *ServerStats) ExtraUint(name string) (uint64, bool) {
-	v, ok := s.Extra[name]
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	return n, err == nil
-}
-
-// PagerReport is the paged value tier's STATS digest (the pg_* fields a
-// paged server appends; see DESIGN.md §10).
-type PagerReport struct {
-	Hits, Misses          uint64
-	Evictions, Writebacks uint64
-	Pages, Resident       uint64
-	LoadP50Us, LoadP99Us  uint64
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 with no pool traffic.
-func (r PagerReport) HitRate() float64 {
-	if r.Hits+r.Misses == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Hits+r.Misses)
-}
-
-// Pager extracts the paged-tier report from the Extra fields. ok is false
-// when the server sent no pg_* fields at all — an old server, or one
-// without a paged backend — so callers gate the whole report on it.
-// Individual missing or malformed fields beyond the hits/misses pair are
-// tolerated as zero rather than failing the report: servers grow pg_*
-// fields across versions and a newer client must degrade, not reject.
-func (s *ServerStats) Pager() (PagerReport, bool) {
-	var r PagerReport
-	hits, okH := s.ExtraUint("pg_hits")
-	misses, okM := s.ExtraUint("pg_misses")
-	if !okH && !okM {
-		return PagerReport{}, false
-	}
-	r.Hits, r.Misses = hits, misses
-	opt := []struct {
-		name string
-		dst  *uint64
-	}{
-		{"pg_evictions", &r.Evictions},
-		{"pg_writebacks", &r.Writebacks},
-		{"pg_pages", &r.Pages},
-		{"pg_resident", &r.Resident},
-		{"pg_load_p50_us", &r.LoadP50Us},
-		{"pg_load_p99_us", &r.LoadP99Us},
-	}
-	for _, f := range opt {
-		if v, ok := s.ExtraUint(f.name); ok {
-			*f.dst = v
-		}
-	}
-	return r, true
-}
-
-// isShardField reports whether a STATS field name is a per-shard counter
-// (s<digits>), as opposed to a named field like "sets", "shards", "shed".
-func isShardField(name string) bool {
-	if len(name) < 2 || name[0] != 's' {
-		return false
-	}
-	for i := 1; i < len(name); i++ {
-		if name[i] < '0' || name[i] > '9' {
-			return false
-		}
-	}
-	return true
 }
 
 // Stats fetches and parses the server's STATS line (idempotent,
@@ -714,84 +497,6 @@ func (c *Client) Stats() (ServerStats, error) {
 		return ServerStats{}, err
 	}
 	return parseStatsReply(reply)
-}
-
-func parseStatsReply(reply string) (ServerStats, error) {
-	rest, ok := strings.CutPrefix(reply, "STATS ")
-	if !ok {
-		return ServerStats{}, replyError(reply)
-	}
-	var st ServerStats
-	shards := -1
-	for _, field := range strings.Fields(rest) {
-		name, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return ServerStats{}, errors.New("kvstore: malformed STATS field " + field)
-		}
-		if isShardField(name) {
-			idx, err := strconv.Atoi(name[1:])
-			if err != nil || idx < 0 {
-				return ServerStats{}, errors.New("kvstore: malformed STATS field " + field)
-			}
-			parts := strings.Split(val, "/")
-			if len(parts) != 3 {
-				return ServerStats{}, errors.New("kvstore: malformed STATS shard field " + field)
-			}
-			var ss Stats
-			var errs [3]error
-			ss.Gets, errs[0] = strconv.ParseUint(parts[0], 10, 64)
-			ss.Sets, errs[1] = strconv.ParseUint(parts[1], 10, 64)
-			ss.Dels, errs[2] = strconv.ParseUint(parts[2], 10, 64)
-			if errs[0] != nil || errs[1] != nil || errs[2] != nil {
-				return ServerStats{}, errors.New("kvstore: malformed STATS shard field " + field)
-			}
-			for len(st.PerShard) <= idx {
-				st.PerShard = append(st.PerShard, Stats{})
-			}
-			st.PerShard[idx] = ss
-			continue
-		}
-		// Known fields parse strictly; anything else — numeric or not —
-		// lands in Extra so a newer server's fields survive an older
-		// client's parser.
-		var dst *uint64
-		switch name {
-		case "gets":
-			dst = &st.Gets
-		case "sets":
-			dst = &st.Sets
-		case "dels":
-			dst = &st.Dels
-		case "errs":
-			dst = &st.Errs
-		case "toolong":
-			dst = &st.TooLong
-		case "shed":
-			dst = &st.Shed
-		case "deadline_drops":
-			dst = &st.DeadlineDrops
-		case "shards":
-		default:
-			if st.Extra == nil {
-				st.Extra = make(map[string]string)
-			}
-			st.Extra[name] = val
-			continue
-		}
-		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil {
-			return ServerStats{}, errors.New("kvstore: malformed STATS field " + field)
-		}
-		if dst != nil {
-			*dst = n
-		} else {
-			shards = int(n)
-		}
-	}
-	if shards >= 0 && len(st.PerShard) != shards {
-		return ServerStats{}, errors.New("kvstore: STATS shard fields disagree with shards count")
-	}
-	return st, nil
 }
 
 // Ping checks liveness (idempotent, replayed under the retry policy).
@@ -819,33 +524,11 @@ func (c *Client) Scan(from, to uint64) ([]blinktree.KV, error) {
 // more records may exist past the last returned key. Idempotent: replayed
 // under the retry policy.
 func (c *Client) ScanLimit(from, to uint64, limit int) (pairs []blinktree.KV, truncated bool, err error) {
-	line := fmt.Sprintf("SCAN %d %d", from, to)
-	if limit > 0 {
-		line = fmt.Sprintf("SCAN %d %d %d", from, to, limit)
-	}
-	reply, err := c.do(line, true)
+	reply, err := c.do(request{verb: vScan, key: from, val: to, limit: limit}.encode(), true)
 	if err != nil {
 		return nil, false, err
 	}
 	return parseScanReply(reply)
-}
-
-// StaleValue is a bounded-staleness read's result. A replica answers with
-// the window of log sequence numbers that could have produced the
-// observation: SeqLo is its applied seq when the read was admitted, SeqHi
-// the primary's last-known seq when it replied, Lag their gap. A primary
-// answers GETR with a plain linearizable read (Primary=true, zero window).
-type StaleValue struct {
-	Value uint64
-	Found bool
-	// SeqLo..SeqHi bounds the log positions the observation may reflect.
-	SeqLo, SeqHi uint64
-	// Lag is the replica's estimate of how many committed records it had
-	// not yet applied when it served the read.
-	Lag uint64
-	// Primary reports that the server was the primary and served a strict
-	// read instead of a windowed one.
-	Primary bool
 }
 
 // GetStale fetches a key under an explicit staleness bound: the server
@@ -853,120 +536,9 @@ type StaleValue struct {
 // records behind the primary. maxLag 0 means "any lag". Idempotent —
 // replayed under the retry policy.
 func (c *Client) GetStale(key, maxLag uint64) (StaleValue, error) {
-	reply, err := c.do(fmt.Sprintf("GETR %d %d", key, maxLag), true)
+	reply, err := c.do(request{verb: vGetR, key: key, val: maxLag}.encode(), true)
 	if err != nil {
 		return StaleValue{}, err
 	}
 	return parseStaleReply(reply)
-}
-
-// parseStaleReply decodes the GETR reply grammar:
-//
-//	RVALUE <lo> <hi> <lag> <value>   replica, key present
-//	RNONE <lo> <hi> <lag>            replica, key absent
-//	RVALUEP <value>                  primary, strict read, key present
-//	RNONEP                           primary, strict read, key absent
-func parseStaleReply(reply string) (StaleValue, error) {
-	fields := strings.Fields(reply)
-	if len(fields) == 0 {
-		return StaleValue{}, replyError(reply)
-	}
-	var sv StaleValue
-	var nums []string
-	switch {
-	case fields[0] == "RVALUE" && len(fields) == 5:
-		sv.Found, nums = true, fields[1:]
-	case fields[0] == "RNONE" && len(fields) == 4:
-		nums = fields[1:]
-	case fields[0] == "RVALUEP" && len(fields) == 2:
-		sv.Found, sv.Primary, nums = true, true, fields[1:]
-	case fields[0] == "RNONEP" && len(fields) == 1:
-		sv.Primary = true
-	case fields[0] == "RVALUE" || fields[0] == "RNONE" || fields[0] == "RVALUEP" || fields[0] == "RNONEP":
-		return StaleValue{}, errors.New("kvstore: malformed " + fields[0] + " reply")
-	default:
-		return StaleValue{}, replyError(reply)
-	}
-	parsed := make([]uint64, len(nums))
-	for i, f := range nums {
-		n, err := strconv.ParseUint(f, 10, 64)
-		if err != nil {
-			return StaleValue{}, errors.New("kvstore: malformed " + fields[0] + " reply")
-		}
-		parsed[i] = n
-	}
-	switch {
-	case sv.Primary && sv.Found:
-		sv.Value = parsed[0]
-	case !sv.Primary:
-		sv.SeqLo, sv.SeqHi, sv.Lag = parsed[0], parsed[1], parsed[2]
-		if sv.Found {
-			sv.Value = parsed[3]
-		}
-	}
-	return sv, nil
-}
-
-func parseGetReply(reply string) (uint64, bool, error) {
-	if reply == "NOT_FOUND" {
-		return 0, false, nil
-	}
-	if v, ok := strings.CutPrefix(reply, "VALUE "); ok {
-		value, err := strconv.ParseUint(v, 10, 64)
-		return value, err == nil, err
-	}
-	return 0, false, replyError(reply)
-}
-
-func parseSetReply(reply string) (bool, error) {
-	switch reply {
-	case "STORED":
-		return false, nil
-	case "OVERWRITTEN":
-		return true, nil
-	}
-	return false, replyError(reply)
-}
-
-func parseDeleteReply(reply string) (bool, error) {
-	switch reply {
-	case "DELETED":
-		return true, nil
-	case "NOT_FOUND":
-		return false, nil
-	}
-	return false, replyError(reply)
-}
-
-func parseScanReply(reply string) ([]blinktree.KV, bool, error) {
-	rest, ok := strings.CutPrefix(reply, "RANGE ")
-	if !ok {
-		return nil, false, replyError(reply)
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return nil, false, errors.New("kvstore: malformed RANGE reply")
-	}
-	n, err := strconv.Atoi(fields[0])
-	if err != nil {
-		return nil, false, errors.New("kvstore: malformed RANGE reply")
-	}
-	truncated := false
-	if len(fields) == 2+2*n && fields[len(fields)-1] == "MORE" {
-		truncated = true
-		fields = fields[:len(fields)-1]
-	}
-	if len(fields) != 1+2*n {
-		return nil, false, errors.New("kvstore: malformed RANGE reply")
-	}
-	pairs := make([]blinktree.KV, n)
-	for i := 0; i < n; i++ {
-		k, err1 := strconv.ParseUint(fields[1+2*i], 10, 64)
-		v, err2 := strconv.ParseUint(fields[2+2*i], 10, 64)
-		if err1 != nil || err2 != nil {
-			return nil, false, errors.New("kvstore: malformed RANGE pair")
-		}
-		pairs[i] = blinktree.KV{Key: k, Value: v}
-	}
-	return pairs, truncated, nil
 }

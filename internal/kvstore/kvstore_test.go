@@ -24,10 +24,11 @@ func newStore(t testing.TB, workers int) (*Store, func()) {
 }
 
 // testBackend is the store surface the server/protocol tests exercise —
-// Backend plus the quiescent helpers the assertions use. Both Store and
-// Sharded satisfy it.
+// Backend plus the direct seeding call and the quiescent helpers the
+// assertions use. Both Store and Sharded satisfy it.
 type testBackend interface {
 	Backend
+	Set(key, value uint64, done func(Result))
 	Count() int
 	Drain()
 }

@@ -2,13 +2,11 @@ package kvstore
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,36 +14,16 @@ import (
 
 	"mxtasking/internal/blinktree"
 	"mxtasking/internal/metrics"
-	"mxtasking/internal/mxtask"
-	"mxtasking/internal/pager"
 	"mxtasking/internal/prefetch"
 )
 
-// Protocol and pipelining limits. MaxLineBytes bounds both request and
-// reply lines; the scan and batch caps keep every reply comfortably under
-// it (MaxScanLimit pairs of two 20-digit uint64s is ~700 KiB).
+// Pipelining limits (the protocol's own limits live in wire.go).
 const (
-	// MaxLineBytes is the longest request or reply line either side
-	// accepts (excluding the newline). The server answers an oversized
-	// request line with "ERR line too long", discards it through its
-	// newline, and keeps the connection alive.
-	MaxLineBytes = 1 << 20
-
 	// DefaultWindow is the per-connection cap on requests that have been
 	// parsed but not yet replied to. When the window is full the reader
 	// stops consuming input until the writer drains a reply —
 	// backpressure, not disconnection.
 	DefaultWindow = 64
-
-	// DefaultScanLimit is the SCAN result cap applied when the client
-	// sends no explicit limit. A capped reply ends with a "MORE" marker.
-	DefaultScanLimit = 8192
-
-	// MaxScanLimit bounds an explicit SCAN limit.
-	MaxScanLimit = 16384
-
-	// MaxBatchKeys bounds the keys of one MGET / pairs of one MSET.
-	MaxBatchKeys = 16384
 
 	// maxNeighborBatch caps how many consecutive same-type GET/SET
 	// requests the reader merges into one multi-op store submission.
@@ -54,72 +32,57 @@ const (
 	// DefaultRetryAfter is the backoff hint attached to "ERR overloaded"
 	// rejections when WithAdmission does not set one.
 	DefaultRetryAfter = 2 * time.Millisecond
+
+	// closeGrace bounds Close's graceful drain: in-flight requests get
+	// this long to deliver their replies (enough for a durable write to
+	// wait out a semi-sync ack timeout); then the undelivered ones are
+	// abandoned and their connections hard-closed.
+	closeGrace = 5 * time.Second
 )
 
 // Backend is the store surface the server drives: the single-tree Store
-// or the NUMA-sharded router (Sharded). Point operations, batches, capped
-// scans, live counts, and the flush hook the graceful shutdown needs.
+// or the NUMA-sharded router (Sharded). Point reads and writes exist only
+// as batches — every GET/SET goes through the neighbour batch, a batch of
+// one included — next to deletes, capped scans, live counts, the STATS
+// report, and the flush hook the graceful shutdown needs.
 type Backend interface {
-	// Get fetches key; done runs on a worker with the outcome.
-	Get(key uint64, done func(Result))
-	// Set stores key=value; done fires after the ack (for durable
-	// backends, after the covering fsync).
-	Set(key, value uint64, done func(Result))
+	// GetBatch issues the keys as one multi-op submission; each fires per
+	// key with its index, on a worker.
+	GetBatch(keys []uint64, each func(int, Result))
+	// SetBatch issues the pairs as one multi-op submission; each fires
+	// after the pair's ack (for durable backends, after the covering
+	// fsync) and carries Result.Err when the write did not commit.
+	SetBatch(pairs []blinktree.KV, each func(int, Result))
 	// Delete removes key; done reports whether it existed.
 	Delete(key uint64, done func(Result))
 	// ScanLimit fetches up to limit records in [from, to) in key order.
 	ScanLimit(from, to uint64, limit int, done func(ScanResult))
-	// GetBatch issues the keys as one multi-op submission; each fires per
-	// key with its index.
-	GetBatch(keys []uint64, each func(int, Result))
-	// SetBatch issues the pairs as one multi-op submission.
-	SetBatch(pairs []blinktree.KV, each func(int, Result))
 	// CountLive counts records through task chains (safe mid-flight).
 	CountLive(done func(int))
-	// Stats returns aggregate operation counters.
-	Stats() Stats
-	// StatsByShard returns per-shard counters (length 1 for a Store).
-	StatsByShard() []Stats
-	// Shards returns the shard count (1 for a Store).
-	Shards() int
+	// StatsFields reports the backend's share of the STATS reply.
+	StatsFields() BackendStats
 	// Sync blocks until acknowledged mutations are durable.
 	Sync() error
 }
 
-// Server exposes a Backend over a line-based TCP protocol:
+// Server exposes a Backend over the line-based TCP protocol specified in
+// wire.go (verbs, replies, limits, STATS fields, error replies).
 //
-//	SET <key> <value>        -> STORED | OVERWRITTEN
-//	GET <key>                -> VALUE <value> | NOT_FOUND
-//	DEL <key>                -> DELETED | NOT_FOUND
-//	SCAN <from> <to> [limit] -> RANGE <n> k1 v1 ... [MORE]   (keys in [from,to))
-//	MSET k1 v1 k2 v2 ..      -> STORED <n>       (at most MaxBatchKeys pairs)
-//	MGET k1 k2 ..            -> VALUES v1 v2 ..  (missing keys render as "-")
-//	STATS                    -> STATS gets=<n> sets=<n> dels=<n> errs=<n> toolong=<n>
-//	                            shed=<n> deadline_drops=<n>
-//	                            shards=<n> s<i>=<gets>/<sets>/<dels> ...
-//	COUNT                    -> COUNT <n>        (live, task-based count)
-//	PING                     -> PONG
-//	QUIT                     -> BYE (closes the connection)
-//
-// Keys and values are decimal uint64. Request lines are capped at
-// MaxLineBytes; an oversized line is answered with "ERR line too long" and
-// skipped, and the connection stays up. SCAN replies are capped at
-// DefaultScanLimit pairs (or the request's explicit limit, itself capped
-// at MaxScanLimit); a capped reply carries a trailing "MORE" token, and
-// the caller resumes from the last returned key + 1.
-//
-// The request path is pipelined: a reader goroutine parses frames and
-// dispatches every request as its MxTask chain immediately — consecutive
-// GET (or SET) neighbors are merged into one multi-op batch submission so
-// the runtime's group scheduling and prefetch window see real batches —
-// while a writer goroutine flushes the replies strictly in request order.
-// At most DefaultWindow (see WithWindow) requests are in flight per
-// connection. Reply order always matches request order, but requests
-// inside one window execute concurrently in the store: a pipelined GET
-// issued before the reply to an earlier SET of the same key may observe
-// the pre-SET value (each request still linearizes between its issue and
-// its reply). Clients that need read-your-write ordering await the write's
-// reply before issuing the read, as the blocking Client methods do.
+// The request path is pipelined: a reader goroutine parses each line once
+// (parseRequest), passes it through the admission and role gates, and
+// starts it as its MxTask chain immediately, while a writer goroutine
+// flushes the replies strictly in request order. GET and SET have exactly
+// one route to the store: the neighbour batch, which merges consecutive
+// GETs (or SETs) already buffered on the wire into one multi-op submission
+// so the runtime's group scheduling and prefetch window see real batches —
+// a lone request is a batch of one. At most DefaultWindow (see WithWindow)
+// requests are in flight per connection. Reply order always matches
+// request order, but requests inside one window execute concurrently in
+// the store: a pipelined GET issued before the reply to an earlier SET of
+// the same key may observe the pre-SET value (each request still
+// linearizes between its issue and its reply). Clients that need
+// read-your-write ordering await the write's reply before issuing the
+// read, as the blocking Client methods do.
 //
 // Resilience (all opt-in): WithIdleTimeout reaps connections that stop
 // delivering requests, WithWriteTimeout reaps peers that stop reading
@@ -131,7 +94,8 @@ type Server struct {
 	backend atomic.Value // Backend; swappable for replica full-resync
 	ln      net.Listener
 	wg      sync.WaitGroup
-	done    chan struct{}
+	done    chan struct{} // closed when Close begins
+	abort   chan struct{} // closed when Close's grace expires
 	closed  bool
 	window  int
 	onError func(error)
@@ -254,7 +218,10 @@ func WithErrorLog(fn func(error)) ServerOption {
 type ReplHandler interface {
 	// WriteAllowed gates mutating commands (SET/DEL/MSET). When false,
 	// errReply is the full rejection line — canonically
-	// "ERR readonly primary=<addr>" — sent instead of dispatching.
+	// "ERR readonly primary=<addr>" — sent instead of dispatching. Must
+	// not block: it runs on the connection's reader goroutine, which may
+	// be holding admission slots (its own, and a deferred batch's) that a
+	// role transition is waiting to see released.
 	WriteAllowed() (ok bool, errReply string)
 	// HandleControl answers a single-line REPL control verb
 	// (PROMOTE/FOLLOW). May block (a demotion drains in-flight writes);
@@ -289,7 +256,7 @@ func NewServer(store Backend, addr string, opts ...ServerOption) (*Server, error
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: listen: %w", err)
 	}
-	s := &Server{ln: ln, done: make(chan struct{}), conns: make(map[net.Conn]struct{}), replConns: make(map[net.Conn]struct{}), window: DefaultWindow}
+	s := &Server{ln: ln, done: make(chan struct{}), abort: make(chan struct{}), conns: make(map[net.Conn]struct{}), replConns: make(map[net.Conn]struct{}), window: DefaultWindow}
 	s.backend.Store(&store)
 	for _, opt := range opts {
 		opt(s)
@@ -361,7 +328,8 @@ func (s *Server) noteError(err error) {
 // Close shuts the server down gracefully: it stops accepting connections,
 // lets every in-flight request run to completion (idle connections are
 // unblocked by an immediate read deadline), waits for the connection
-// handlers to drain, and finally flushes the store's write-ahead log so no
+// handlers to drain — for at most closeGrace, so a wedged backend cannot
+// hang shutdown — and finally flushes the store's write-ahead log so no
 // acknowledged work is lost. The store itself stays open — it may be
 // shared — so call Store.Close separately when retiring it.
 func (s *Server) Close() error {
@@ -389,7 +357,22 @@ func (s *Server) Close() error {
 		conn.Close()
 	}
 	s.mu.Unlock()
-	s.wg.Wait()
+
+	drained := make(chan struct{})
+	go func() { s.wg.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(closeGrace):
+		// Some reply never arrived: a reader is parked on a full window
+		// behind a writer parked on that reply. Both select on abort.
+		close(s.abort)
+		s.mu.Lock()
+		for conn := range s.conns {
+			conn.Close()
+		}
+		s.mu.Unlock()
+		<-drained
+	}
 	if serr := s.store().Sync(); err == nil {
 		err = serr
 	}
@@ -442,36 +425,37 @@ func (s *Server) acceptLoop() {
 
 // pendingReply is one request's slot in the connection's reply pipeline.
 // deliver must be called exactly once; the buffered channel means the
-// completing worker never blocks on a slow writer. release, when set, is
-// the request's admission-gate slot: it is freed the moment the reply is
-// ready, before the writer even flushes it.
+// completing worker never blocks on a slow writer. gate, when set, is the
+// server whose admission slot the request holds: the slot is freed the
+// moment the reply is ready, before the writer even flushes it.
 type pendingReply struct {
-	ch      chan string
-	release func()
+	ch   chan string
+	gate *Server
 }
 
 func newPending() *pendingReply { return &pendingReply{ch: make(chan string, 1)} }
 
 func (p *pendingReply) deliver(reply string) {
-	if p.release != nil {
-		p.release()
+	if p.gate != nil {
+		p.gate.releaseStore()
 	}
 	p.ch <- reply
 }
 
-// admitStore reserves one admission-gate slot for a store operation. ok
-// is false when the gate is armed and full: the request must be answered
-// with overloadReply instead of dispatched. The CAS-then-count shape
-// makes the high-water mark a hard invariant — the Busy gauge is bumped
-// only after a slot is won, so even transiently it never exceeds the
-// mark, and Busy.Max() is a faithful ceiling witness.
-func (s *Server) admitStore() (release func(), ok bool) {
+// admitStore reserves one admission-gate slot for a store operation, to
+// be freed by releaseStore. It reports false when the gate is armed and
+// full: the request must be answered with the overload reply instead of
+// dispatched. The CAS-then-count shape makes the high-water mark a hard
+// invariant — the Busy gauge is bumped only after a slot is won, so even
+// transiently it never exceeds the mark, and Busy.Max() is a faithful
+// ceiling witness.
+func (s *Server) admitStore() bool {
 	if s.highWater > 0 {
 		for {
 			v := s.busy.Load()
 			if v >= int64(s.highWater) {
 				s.m.Shed.Inc()
-				return nil, false
+				return false
 			}
 			if s.busy.CompareAndSwap(v, v+1) {
 				break
@@ -479,183 +463,170 @@ func (s *Server) admitStore() (release func(), ok bool) {
 		}
 	}
 	s.m.Busy.Inc()
-	return func() {
-		s.m.Busy.Dec()
-		if s.highWater > 0 {
-			s.busy.Add(-1)
+	return true
+}
+
+func (s *Server) releaseStore() {
+	s.m.Busy.Dec()
+	if s.highWater > 0 {
+		s.busy.Add(-1)
+	}
+}
+
+// admit passes a parsed request through the server's two gates — each
+// consulted here and nowhere else — and reports whether it may start. A
+// rejection is delivered into p: it takes the request's reply slot, in
+// order, without touching the store.
+//
+// The admission slot is taken BEFORE the role is read. A demotion flips
+// the role and then waits for Busy to drain (Quiesce); a write that read
+// "primary" first and counted itself second could slip between the two
+// and run on a node that has already become a replica.
+func (s *Server) admit(v verb, p *pendingReply) bool {
+	if v.store() {
+		if !s.admitStore() {
+			p.deliver(formatOverloaded(s.retryAfter))
+			return false
 		}
-	}, true
-}
-
-// overloadReply is the admission gate's rejection line.
-func (s *Server) overloadReply() string {
-	return fmt.Sprintf("ERR overloaded retry-after=%d", s.retryAfter.Milliseconds())
-}
-
-// sheddable reports whether a request line is a store operation the
-// admission gate may reject. Immediate commands (PING, STATS, QUIT — and
-// garbage, which answers inline anyway) always pass.
-func sheddable(line string) bool {
-	cmd := line
-	if i := strings.IndexByte(cmd, ' '); i >= 0 {
-		cmd = cmd[:i]
+		p.gate = s
 	}
-	switch strings.ToUpper(cmd) {
-	case "GET", "SET", "DEL", "SCAN", "MGET", "MSET", "COUNT":
-		return true
-	}
-	return false
-}
-
-// errLineTooLong marks a request line over the reader's cap; the line has
-// been consumed through its newline and the connection is resynced.
-var errLineTooLong = errors.New("kvstore: request line exceeds MaxLineBytes")
-
-// lineReader frames newline-terminated requests with an explicit length
-// cap. Unlike bufio.Scanner — whose ErrTooLong is terminal — it recovers
-// from an oversized line: the line is reported as errLineTooLong,
-// discarded through its newline, and reading continues.
-type lineReader struct {
-	br   *bufio.Reader
-	line []byte
-	max  int
-}
-
-func newLineReader(r io.Reader, max int) *lineReader {
-	return &lineReader{br: bufio.NewReaderSize(r, 64<<10), max: max}
-}
-
-// next returns the next line without its newline. A final unterminated
-// line at EOF is NOT yielded: the newline is the protocol's frame
-// terminator, and a line missing it may be a request truncated mid-wire
-// (a partition or dead peer) — executing its prefix would mutate state
-// from a corrupted frame (imagine "SET 1 100" arriving as "SET 1 1").
-func (lr *lineReader) next() (string, error) {
-	lr.line = lr.line[:0]
-	for {
-		frag, err := lr.br.ReadSlice('\n')
-		lr.line = append(lr.line, frag...)
-		switch err {
-		case nil:
-			if len(lr.line)-1 > lr.max {
-				return "", errLineTooLong
-			}
-			return string(lr.line[:len(lr.line)-1]), nil
-		case bufio.ErrBufferFull:
-			if len(lr.line) > lr.max {
-				return "", lr.discardLine()
-			}
-		case io.EOF:
-			return "", io.EOF
-		default:
-			return "", err
+	if v.mutates() && s.repl != nil {
+		if ok, reply := s.repl.WriteAllowed(); !ok {
+			p.deliver(reply)
+			return false
 		}
 	}
+	return true
 }
 
-// discardLine consumes the remainder of an oversized line so the
-// connection can resync at the next newline.
-func (lr *lineReader) discardLine() error {
-	lr.line = lr.line[:0]
-	for {
-		_, err := lr.br.ReadSlice('\n')
-		switch err {
-		case nil, io.EOF:
-			return errLineTooLong
-		case bufio.ErrBufferFull:
-			// Keep discarding.
-		default:
-			return err
-		}
+// conn is the reader's half of one connection's request pipeline: it
+// parses, gates and starts requests, and hands their reply slots to the
+// writer through pending, the in-flight window.
+type conn struct {
+	s       *Server
+	pf      *connPrefetch // nil when learned prefetching is off
+	pending chan *pendingReply
+	// more reports whether another complete request line is already
+	// buffered, i.e. whether waiting for a batch neighbour is free.
+	more func() bool
+
+	// The neighbour batch: consecutive GETs (or SETs) already buffered on
+	// the wire, submitted to the store as one multi-op batch.
+	batchVerb verb
+	batchKVs  []blinktree.KV
+	batchPs   []*pendingReply
+}
+
+// accept runs one non-blank request line: parsed once, gated once, then
+// either joined to the neighbour batch (GET/SET — their only route to the
+// store) or started on its own.
+func (c *conn) accept(line string) (quit bool) {
+	s := c.s
+	req, errReply := parseRequest(line)
+	if (req.verb == vRepl || req.verb == vGetR) && s.repl == nil {
+		errReply = "ERR replication not enabled"
 	}
-}
-
-// hasBufferedLine reports whether a complete request line is already
-// buffered — i.e. the reader can keep consuming pipelined input without
-// blocking on the network.
-func (lr *lineReader) hasBufferedLine() bool {
-	n := lr.br.Buffered()
-	if n == 0 {
+	p := newPending()
+	switch {
+	case errReply != "":
+		// Malformed: the precise error, inline, before either gate.
+		p.deliver(errReply)
+	case !s.admit(req.verb, p):
+		// Shed or readonly; a deferred batch keeps accumulating around it.
+	case req.verb == vGet || req.verb == vSet:
+		if c.batchVerb != req.verb {
+			c.flushBatch()
+		}
+		c.enqueue(p)
+		c.batchVerb = req.verb
+		c.batchKVs = append(c.batchKVs, blinktree.KV{Key: req.key, Value: req.val})
+		c.batchPs = append(c.batchPs, p)
+		c.pf.observeKey(req.key)
+		// Submit when the batch is full or the wire has no further
+		// complete request to merge; otherwise keep accumulating.
+		if len(c.batchPs) >= maxNeighborBatch || !c.more() {
+			c.flushBatch()
+		}
 		return false
+	default:
+		c.flushBatch() // preserve submission order across verbs
+		s.start(req, c.pf, p.deliver)
 	}
-	buf, err := lr.br.Peek(n)
-	return err == nil && bytes.IndexByte(buf, '\n') >= 0
+	c.enqueue(p)
+	return req.verb == vQuit
 }
 
-// serve runs one connection: this goroutine reads and dispatches requests,
-// a second goroutine (writeLoop) flushes replies in request order. The
-// pending channel is the in-flight window; its capacity is the
-// backpressure bound.
-func (s *Server) serve(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	defer s.track(conn)()
-
-	window := s.window
-	if window < 1 {
-		window = DefaultWindow
+// flushBatch submits the deferred neighbour batch, if any.
+func (c *conn) flushBatch() {
+	ps := c.batchPs
+	if len(ps) == 0 {
+		return
 	}
-	pending := make(chan *pendingReply, window)
+	if c.batchVerb == vGet {
+		keys := make([]uint64, len(c.batchKVs))
+		for i, kv := range c.batchKVs {
+			keys[i] = kv.Key
+		}
+		c.s.store().GetBatch(keys, func(i int, r Result) { ps[i].deliver(formatGet(r)) })
+	} else {
+		c.s.store().SetBatch(c.batchKVs, func(i int, r Result) { ps[i].deliver(formatSet(r)) })
+	}
+	c.batchVerb, c.batchKVs, c.batchPs = vUnknown, nil, nil
+}
+
+// enqueue hands a reply slot to the writer, blocking while the window is
+// full — unless Close's grace has expired, in which case the slot is
+// abandoned.
+func (c *conn) enqueue(p *pendingReply) {
+	// Submit any deferred batch before a blocking enqueue: the writer
+	// can only drain the window once the batched requests actually
+	// run, so holding them while waiting for window space would
+	// deadlock the connection.
+	if len(c.pending) == cap(c.pending) {
+		c.flushBatch()
+	}
+	m := &c.s.m
+	m.InFlight.Inc()
+	m.Depth.Observe(uint64(len(c.pending) + 1))
+	select { // the common case, without the two-way select's cost
+	case c.pending <- p:
+		return
+	default:
+	}
+	select {
+	case c.pending <- p:
+	case <-c.s.abort:
+		m.InFlight.Dec()
+	}
+}
+
+// serve runs one connection: this goroutine reads and starts requests, a
+// second goroutine (writeLoop) flushes replies in request order.
+func (s *Server) serve(nc net.Conn) {
+	defer s.wg.Done()
+	defer nc.Close()
+	defer s.track(nc)()
+
+	lr := newLineReader(nc, MaxLineBytes)
+	c := &conn{s: s, pf: s.newConnPrefetch(), pending: make(chan *pendingReply, max(s.window, 1)), more: lr.hasBufferedLine}
+	// Learned prefetch streams live and die with the connection: cancel
+	// stops any touch chains still in flight once the reader exits.
+	defer c.pf.cancel()
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		s.writeLoop(conn, pending)
+		s.writeLoop(nc, c.pending)
 	}()
-
-	lr := newLineReader(conn, MaxLineBytes)
-
-	// Learned prefetch streams live and die with the connection: cancel
-	// stops any touch chains still in flight once the reader exits.
-	pf := s.newConnPrefetch()
-	defer pf.cancel()
-
-	// Neighbor batch: consecutive GET (or SET) requests already buffered
-	// on the wire are submitted to the store as one multi-op batch.
-	var (
-		batchKind byte // 0 none, 'G' gets, 'S' sets
-		batchKVs  []blinktree.KV
-		batchPs   []*pendingReply
-	)
-	flushBatch := func() {
-		if len(batchPs) == 0 {
-			return
-		}
-		ps := batchPs
-		switch batchKind {
-		case 'G':
-			keys := make([]uint64, len(batchKVs))
-			for i, kv := range batchKVs {
-				keys[i] = kv.Key
-			}
-			s.store().GetBatch(keys, func(i int, r Result) { ps[i].deliver(formatGet(r)) })
-		case 'S':
-			s.store().SetBatch(batchKVs, func(i int, r Result) { ps[i].deliver(formatSet(r)) })
-		}
-		batchKind, batchKVs, batchPs = 0, nil, nil
-	}
-	enqueue := func(p *pendingReply) {
-		// Submit any deferred batch before a blocking enqueue: the writer
-		// can only drain the window once the batched requests actually
-		// run, so holding them while waiting for window space would
-		// deadlock the connection.
-		if len(pending) == cap(pending) {
-			flushBatch()
-		}
-		s.m.InFlight.Inc()
-		s.m.Depth.Observe(uint64(len(pending) + 1))
-		pending <- p
-	}
 
 	var readErr error
 	firstLine := true
-loop:
-	for {
+	for quit := false; !quit && !s.closing(); {
 		// Never block on the wire with a deferred batch pending — its
 		// requests would never dispatch and the writer (and client) would
-		// wait forever. The admitted path below flushes eagerly, but the
-		// shed path can leave a batch accumulated when the input runs dry.
-		if !lr.hasBufferedLine() {
-			flushBatch()
+		// wait forever. accept flushes eagerly, but a rejection can leave
+		// a batch accumulated when the input runs dry.
+		if !c.more() {
+			c.flushBatch()
 		}
 		// Idle reaping: each read gets a fresh deadline; a peer that
 		// neither completes a request nor goes away within it is cut
@@ -664,25 +635,23 @@ loop:
 		if s.idleTimeout > 0 {
 			s.mu.Lock()
 			if !s.closed {
-				conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
+				nc.SetReadDeadline(time.Now().Add(s.idleTimeout))
 			}
 			s.mu.Unlock()
 		}
 		line, err := lr.next()
-		switch {
-		case err == errLineTooLong:
+		if err == errLineTooLong {
 			s.m.TooLong.Inc()
-			flushBatch()
 			p := newPending()
 			p.deliver("ERR line too long")
-			enqueue(p)
+			c.enqueue(p)
 			continue
-		case err != nil:
-			readErr = err
-			break loop
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		if err != nil {
+			readErr = err
+			break
+		}
+		if line = strings.TrimSpace(line); line == "" {
 			continue
 		}
 		if firstLine && s.repl != nil && strings.HasPrefix(line, "REPL HELLO ") {
@@ -691,83 +660,29 @@ loop:
 			// the connection (and any bytes already buffered past the
 			// hello) to the replication subsystem; serve's deferred close
 			// still owns the socket's lifetime.
-			close(pending)
+			close(c.pending)
 			<-writerDone
 			s.mu.Lock()
 			if s.closed {
 				s.mu.Unlock()
 				return
 			}
-			conn.SetReadDeadline(time.Time{}) // the stream paces itself
-			s.replConns[conn] = struct{}{}
+			nc.SetReadDeadline(time.Time{}) // the stream paces itself
+			s.replConns[nc] = struct{}{}
 			s.mu.Unlock()
 			defer func() {
 				s.mu.Lock()
-				delete(s.replConns, conn)
+				delete(s.replConns, nc)
 				s.mu.Unlock()
 			}()
-			s.repl.HandleStream(line, conn, lr.br)
+			s.repl.HandleStream(line, nc, lr.br)
 			return
 		}
 		firstLine = false
-		p := newPending()
-		if kind, kv, ok := parseBatchable(line); ok {
-			if kind == 'S' && s.repl != nil {
-				if wok, reply := s.repl.WriteAllowed(); !wok {
-					// Readonly rejection, in order: like a shed, it takes
-					// the request's reply slot without touching the store.
-					p.deliver(reply)
-					enqueue(p)
-					continue
-				}
-			}
-			release, admitted := s.admitStore()
-			if !admitted {
-				// Shed, in order: the rejection takes the request's reply
-				// slot; the batch keeps accumulating around it.
-				p.deliver(s.overloadReply())
-				enqueue(p)
-			} else {
-				p.release = release
-				if batchKind != 0 && batchKind != kind {
-					flushBatch()
-				}
-				enqueue(p)
-				batchKind = kind
-				batchKVs = append(batchKVs, kv)
-				batchPs = append(batchPs, p)
-				pf.observeKey(kv.Key)
-				// Submit when the batch is full or the wire has no further
-				// complete request to merge; otherwise keep accumulating.
-				if len(batchPs) >= maxNeighborBatch || !lr.hasBufferedLine() {
-					flushBatch()
-				}
-			}
-		} else {
-			flushBatch() // preserve submission order across command types
-			if sheddable(line) {
-				release, admitted := s.admitStore()
-				if !admitted {
-					p.deliver(s.overloadReply())
-					enqueue(p)
-					continue
-				}
-				p.release = release
-			}
-			quit := s.dispatch(line, pf, p.deliver)
-			enqueue(p)
-			if quit {
-				break loop
-			}
-		}
-		select {
-		case <-s.done:
-			break loop
-		default:
-		}
+		quit = c.accept(line)
 	}
-	flushBatch()
-	close(pending)
+	c.flushBatch()
+	close(c.pending)
 	<-writerDone
 
 	if errors.Is(readErr, os.ErrDeadlineExceeded) && !s.closing() {
@@ -788,8 +703,8 @@ loop:
 // failed flush the connection is closed — that unblocks the reader too,
 // so a dead peer costs two goroutines for at most one timeout, not
 // until the heat death of the socket.
-func (s *Server) writeLoop(conn net.Conn, pending <-chan *pendingReply) {
-	w := bufio.NewWriter(conn)
+func (s *Server) writeLoop(nc net.Conn, pending <-chan *pendingReply) {
+	w := bufio.NewWriter(nc)
 	healthy := true
 	fail := func(err error) {
 		healthy = false
@@ -799,7 +714,7 @@ func (s *Server) writeLoop(conn net.Conn, pending <-chan *pendingReply) {
 		// Sever the connection: the reader is likely blocked on a peer
 		// that no longer drains replies; replies from here on are drained
 		// and discarded.
-		conn.Close()
+		nc.Close()
 	}
 	// arm refreshes the write deadline. It must cover every buffered
 	// write, not just the explicit flushes: a reply larger than the
@@ -807,7 +722,7 @@ func (s *Server) writeLoop(conn net.Conn, pending <-chan *pendingReply) {
 	// there a stuck reader would wedge the writer forever.
 	arm := func() {
 		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+			nc.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		}
 	}
 	flush := func() {
@@ -825,9 +740,15 @@ func (s *Server) writeLoop(conn net.Conn, pending <-chan *pendingReply) {
 		case reply = <-p.ch:
 		default:
 			// The oldest outstanding reply is not ready: push what is
-			// already written out to the client, then wait.
+			// already written out to the client, then wait — but not past
+			// Close's grace, after which the reply is abandoned and the
+			// connection with it.
 			flush()
-			reply = <-p.ch
+			select {
+			case reply = <-p.ch:
+			case <-s.abort:
+				fail(net.ErrClosed)
+			}
 		}
 		if healthy {
 			arm()
@@ -847,335 +768,78 @@ func (s *Server) writeLoop(conn net.Conn, pending <-chan *pendingReply) {
 	flush()
 }
 
-// parseBatchable recognizes the two commands worth neighbor-batching. It
-// must accept exactly what dispatch's GET/SET arms accept; anything
-// irregular (wrong arity, bad numbers) falls back to dispatch for the
-// precise error reply.
-func parseBatchable(line string) (kind byte, kv blinktree.KV, ok bool) {
-	fields := strings.Fields(line)
-	switch strings.ToUpper(fields[0]) {
-	case "GET":
-		if len(fields) != 2 {
-			return 0, kv, false
-		}
-		k, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return 0, kv, false
-		}
-		return 'G', blinktree.KV{Key: k}, true
-	case "SET":
-		if len(fields) != 3 {
-			return 0, kv, false
-		}
-		k, err1 := strconv.ParseUint(fields[1], 10, 64)
-		v, err2 := strconv.ParseUint(fields[2], 10, 64)
-		if err1 != nil || err2 != nil {
-			return 0, kv, false
-		}
-		return 'S', blinktree.KV{Key: k, Value: v}, true
-	}
-	return 0, kv, false
-}
-
-// handle executes one request line synchronously and returns the response.
-// The serve loop dispatches asynchronously; this blocking form backs tests
-// and fuzzing.
+// handle executes one request line synchronously and returns the reply:
+// the same accept the serve loop runs, on a window of one with no
+// neighbours (so a GET or SET is a batch of one). It backs tests and
+// fuzzing.
 func (s *Server) handle(line string) (reply string, quit bool) {
-	ch := make(chan string, 1)
-	quit = s.dispatch(line, nil, func(r string) { ch <- r })
-	return <-ch, quit
+	c := &conn{s: s, pending: make(chan *pendingReply, 1), more: func() bool { return false }}
+	quit = c.accept(line)
+	p := <-c.pending
+	s.m.InFlight.Dec()
+	return <-p.ch, quit
 }
 
-// dispatch parses one request line and starts it. deliver receives the
-// single reply line exactly once — inline for immediate commands and
-// malformed requests, from a worker for store operations. dispatch itself
-// never blocks on the store. pf (nil when learned prefetching is off) is
-// the connection's learned prefetch state; dispatch feeds it the request's
-// access-pattern observations.
-func (s *Server) dispatch(line string, pf *connPrefetch, deliver func(string)) (quit bool) {
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
-	switch cmd {
-	case "PING":
+// start begins every verb but GET and SET (which only ever run through
+// the neighbour batch). deliver receives the single reply line exactly
+// once — inline for immediate commands, from a worker for store
+// operations; start itself never blocks on the store. pf feeds the
+// connection's learned prefetch streams (nil-safe).
+func (s *Server) start(req request, pf *connPrefetch, deliver func(string)) {
+	switch req.verb {
+	case vPing:
 		deliver("PONG")
-	case "QUIT":
+	case vQuit:
 		deliver("BYE")
-		return true
-	case "COUNT":
+	case vCount:
 		// Task-based live count: the serve loop pipelines, so the tree
 		// may never be quiescent when COUNT arrives.
-		s.store().CountLive(func(n int) { deliver(fmt.Sprintf("COUNT %d", n)) })
-	case "STATS":
-		st := s.store().Stats()
-		per := s.store().StatsByShard()
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "STATS gets=%d sets=%d dels=%d errs=%d toolong=%d shed=%d deadline_drops=%d shards=%d",
-			st.Gets, st.Sets, st.Dels, s.m.ConnErrors.Value(), s.m.TooLong.Value(),
-			s.m.Shed.Value(), s.m.DeadlineDrops.Value(), len(per))
-		for i, ss := range per {
-			fmt.Fprintf(&sb, " s%d=%d/%d/%d", i, ss.Gets, ss.Sets, ss.Dels)
-		}
-		// Scheduler stealing stats, when the backend's shards run on a
-		// cooperating mxtask.Group (DESIGN.md §7). Clients that predate
-		// these fields pick them up via ServerStats.Extra.
-		if sg, ok := s.store().(interface{ SchedulerGroup() *mxtask.Group }); ok {
-			if g := sg.SchedulerGroup(); g != nil {
-				gs := g.Stats()
-				fmt.Fprintf(&sb, " steal_attempts=%d steal_ok=%d steal_aborts=%d steal_tasks=%d imbalance=%d",
-					gs.StealAttempts, gs.StealSuccesses, gs.StealAborts,
-					gs.TasksStolen, gs.Imbalance)
-			}
-		}
-		// Interleaved group-descent counters (DESIGN.md §9). Old clients
-		// pick the fields up via ServerStats.Extra.
-		if is, ok := s.store().(interface {
-			InterleaveStats() mxtask.InterleaveStats
-		}); ok {
-			il := is.InterleaveStats()
-			fmt.Fprintf(&sb, " il_groups=%d il_cursors=%d il_turns=%d il_steps=%d il_retired=%d il_fallbacks=%d il_width=%d",
-				il.Groups, il.Cursors, il.Turns, il.Steps, il.Retired, il.Fallbacks, il.MaxWidth)
-		}
-		// Learned-prefetcher aggregates, when armed (DESIGN.md §8). Old
-		// clients pick the fields up via ServerStats.Extra.
-		if m := s.pfMetrics; m != nil {
-			fmt.Fprintf(&sb, " pf_streams=%d pf_observed=%d pf_hits=%d pf_misses=%d pf_induced=%d pf_issued=%d pf_window=%d pf_disables=%d pf_reenables=%d",
-				m.Streams.Load(), m.Observed.Load(), m.Hits.Load(), m.Misses.Load(),
-				m.Induced.Load(), m.Issued.Load(), m.WindowMax(), m.Disables.Load(), m.Reenables.Load())
-		}
-		// Paged value tier counters (DESIGN.md §10). Old clients pick the
-		// fields up via ServerStats.Extra; new clients tolerate their
-		// absence on old servers (ServerStats.Pager).
-		if ps, ok := s.store().(interface {
-			PagerStats() (pager.Stats, bool)
-		}); ok {
-			if pg, paged := ps.PagerStats(); paged {
-				fmt.Fprintf(&sb, " pg_hits=%d pg_misses=%d pg_evictions=%d pg_writebacks=%d pg_pages=%d pg_resident=%d pg_load_p50_us=%d pg_load_p99_us=%d",
-					pg.Hits, pg.Misses, pg.Evictions, pg.Writebacks,
-					pg.Pages, pg.Resident, pg.LoadP50Micros, pg.LoadP99Micros)
-			}
-		}
+		s.store().CountLive(func(n int) { deliver(formatCount(n)) })
+	case vStats:
+		extra := ""
 		if s.repl != nil {
-			sb.WriteString(s.repl.StatsExtra())
+			extra = s.repl.StatsExtra()
 		}
-		deliver(sb.String())
-	case "REPL":
-		// Control verbs (PROMOTE/FOLLOW). May block on a drain, so they
-		// run off the reader goroutine; deliver is safe from any
-		// goroutine. HELLO never reaches here on its own connection — the
-		// serve loop hijacks it — so a misplaced one gets the handler's
-		// error reply.
-		if s.repl == nil {
-			deliver("ERR replication not enabled")
-			return false
-		}
-		ctl := line
-		go func() { deliver(s.repl.HandleControl(ctl)) }()
-	case "GETR":
-		if s.repl == nil {
-			deliver("ERR replication not enabled")
-			return false
-		}
-		if len(fields) != 3 {
-			deliver("ERR usage: GETR <key> <maxlag>")
-			return false
-		}
-		key, err1 := strconv.ParseUint(fields[1], 10, 64)
-		lag, err2 := strconv.ParseUint(fields[2], 10, 64)
-		if err1 != nil || err2 != nil {
-			deliver("ERR key and maxlag must be uint64")
-			return false
-		}
-		s.repl.HandleStaleGet(key, lag, deliver)
-	case "GET":
-		key, err := parseKey(fields, 2)
-		if err != nil {
-			deliver("ERR " + err.Error())
-			return false
-		}
-		pf.observeKey(key)
-		s.store().Get(key, func(r Result) { deliver(formatGet(r)) })
-	case "SET":
-		if !s.writeAllowed(deliver) {
-			return false
-		}
-		if len(fields) != 3 {
-			deliver("ERR usage: SET <key> <value>")
-			return false
-		}
-		key, err1 := strconv.ParseUint(fields[1], 10, 64)
-		val, err2 := strconv.ParseUint(fields[2], 10, 64)
-		if err1 != nil || err2 != nil {
-			deliver("ERR key and value must be uint64")
-			return false
-		}
-		pf.observeKey(key)
-		s.store().Set(key, val, func(r Result) { deliver(formatSet(r)) })
-	case "DEL":
-		if !s.writeAllowed(deliver) {
-			return false
-		}
-		key, err := parseKey(fields, 2)
-		if err != nil {
-			deliver("ERR " + err.Error())
-			return false
-		}
-		s.store().Delete(key, func(r Result) {
-			if r.Found {
-				deliver("DELETED")
-			} else {
-				deliver("NOT_FOUND")
-			}
-		})
-	case "SCAN":
-		if len(fields) != 3 && len(fields) != 4 {
-			deliver("ERR usage: SCAN <from> <to> [limit]")
-			return false
-		}
-		from, err1 := strconv.ParseUint(fields[1], 10, 64)
-		to, err2 := strconv.ParseUint(fields[2], 10, 64)
-		if err1 != nil || err2 != nil {
-			deliver("ERR bounds must be uint64")
-			return false
-		}
-		limit := DefaultScanLimit
-		if len(fields) == 4 {
-			n, err := strconv.Atoi(fields[3])
-			if err != nil || n <= 0 {
-				deliver("ERR limit must be a positive integer")
-				return false
-			}
-			limit = min(n, MaxScanLimit)
-		}
-		pf.observeScan(from, limit)
-		s.store().ScanLimit(from, to, limit, func(res ScanResult) { deliver(formatRange(res)) })
-	case "MSET":
-		if !s.writeAllowed(deliver) {
-			return false
-		}
-		if len(fields) < 3 || len(fields)%2 == 0 {
-			deliver("ERR usage: MSET <key> <value> [<key> <value> ...]")
-			return false
-		}
-		if (len(fields)-1)/2 > MaxBatchKeys {
-			deliver(fmt.Sprintf("ERR at most %d pairs per MSET", MaxBatchKeys))
-			return false
-		}
-		pairs := make([]blinktree.KV, 0, (len(fields)-1)/2)
-		for i := 1; i+1 < len(fields); i += 2 {
-			k, err1 := strconv.ParseUint(fields[i], 10, 64)
-			v, err2 := strconv.ParseUint(fields[i+1], 10, 64)
-			if err1 != nil || err2 != nil {
-				deliver("ERR keys and values must be uint64")
-				return false
-			}
-			pairs = append(pairs, blinktree.KV{Key: k, Value: v})
-		}
+		deliver(formatStats(s.store().StatsFields(), &s.m, s.pfMetrics, extra))
+	case vRepl:
+		// Control verbs (PROMOTE/FOLLOW) may block on a drain, so they run
+		// off the reader goroutine; deliver is safe from any goroutine.
+		// HELLO never reaches here on its own connection — the serve loop
+		// hijacks it — so a misplaced one gets the handler's error reply.
+		line := req.line
+		go func() { deliver(s.repl.HandleControl(line)) }()
+	case vGetR:
+		s.repl.HandleStaleGet(req.key, req.val, deliver)
+	case vDel:
+		s.store().Delete(req.key, func(r Result) { deliver(formatDel(r)) })
+	case vScan:
+		pf.observeScan(req.key, req.limit)
+		s.store().ScanLimit(req.key, req.val, req.limit, func(res ScanResult) { deliver(formatRange(res)) })
+	case vMSet:
+		n := int64(len(req.pairs))
 		var done atomic.Int64
-		s.store().SetBatch(pairs, func(int, Result) {
-			if done.Add(1) == int64(len(pairs)) {
-				deliver(fmt.Sprintf("STORED %d", len(pairs)))
+		var failed atomic.Bool
+		s.store().SetBatch(req.pairs, func(_ int, r Result) {
+			if r.Err != nil {
+				failed.Store(true)
+			}
+			if done.Add(1) == n {
+				deliver(formatStored(int(n), failed.Load()))
 			}
 		})
-	case "MGET":
-		if len(fields) < 2 {
-			deliver("ERR usage: MGET <key> [<key> ...]")
-			return false
-		}
-		if len(fields)-1 > MaxBatchKeys {
-			deliver(fmt.Sprintf("ERR at most %d keys per MGET", MaxBatchKeys))
-			return false
-		}
-		keys := make([]uint64, 0, len(fields)-1)
-		for _, f := range fields[1:] {
-			k, err := strconv.ParseUint(f, 10, 64)
-			if err != nil {
-				deliver("ERR keys must be uint64")
-				return false
-			}
-			keys = append(keys, k)
-		}
+	case vMGet:
 		// Feed the point stream every batch member: a client replaying a
 		// key-run as MGETs is exactly the pattern key-run warming targets.
-		for _, k := range keys {
+		for _, k := range req.keys {
 			pf.observeKey(k)
 		}
-		results := make([]Result, len(keys))
+		results := make([]Result, len(req.keys))
 		var done atomic.Int64
-		s.store().GetBatch(keys, func(i int, r Result) {
+		s.store().GetBatch(req.keys, func(i int, r Result) {
 			results[i] = r
-			if done.Add(1) == int64(len(keys)) {
-				var sb strings.Builder
-				sb.WriteString("VALUES")
-				for _, r := range results {
-					if r.Found {
-						fmt.Fprintf(&sb, " %d", r.Value)
-					} else {
-						sb.WriteString(" -")
-					}
-				}
-				deliver(sb.String())
+			if done.Add(1) == int64(len(results)) {
+				deliver(formatValues(results))
 			}
 		})
-	default:
-		deliver("ERR unknown command " + cmd)
 	}
-	return false
-}
-
-// writeAllowed gates a mutating command through the replication role; the
-// rejection reply, when any, is delivered in the request's slot.
-func (s *Server) writeAllowed(deliver func(string)) bool {
-	if s.repl == nil {
-		return true
-	}
-	ok, reply := s.repl.WriteAllowed()
-	if !ok {
-		deliver(reply)
-	}
-	return ok
-}
-
-func formatGet(r Result) string {
-	if r.Err != nil {
-		// Paged stores can fail a read (page I/O or corruption); surface
-		// it rather than lying with NOT_FOUND.
-		return "ERR get failed"
-	}
-	if !r.Found {
-		return "NOT_FOUND"
-	}
-	return fmt.Sprintf("VALUE %d", r.Value)
-}
-
-func formatSet(r Result) string {
-	if r.Found {
-		return "OVERWRITTEN"
-	}
-	return "STORED"
-}
-
-func formatRange(res ScanResult) string {
-	if res.Err != nil {
-		return "ERR scan failed"
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "RANGE %d", len(res.Pairs))
-	for _, kv := range res.Pairs {
-		fmt.Fprintf(&sb, " %d %d", kv.Key, kv.Value)
-	}
-	if res.Truncated {
-		sb.WriteString(" MORE")
-	}
-	return sb.String()
-}
-
-func parseKey(fields []string, want int) (uint64, error) {
-	if len(fields) != want {
-		return 0, errors.New("wrong argument count")
-	}
-	key, err := strconv.ParseUint(fields[1], 10, 64)
-	if err != nil {
-		return 0, errors.New("key must be uint64")
-	}
-	return key, nil
 }

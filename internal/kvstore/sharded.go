@@ -169,8 +169,8 @@ func (s *Sharded) RouterMetrics() *RouterMetrics { return &s.m }
 
 // SchedulerGroup returns the stealing mxtask.Group every shard runtime
 // belongs to, or nil when the shards run on standalone runtimes, on
-// different groups, or on a group without stealing enabled. The server's
-// STATS handler uses it to surface GroupStats (steal_* fields).
+// different groups, or on a group without stealing enabled. StatsFields
+// uses it to surface GroupStats (the STATS steal_* fields).
 func (s *Sharded) SchedulerGroup() *mxtask.Group {
 	g := s.shards[0].Runtime().Group()
 	if g == nil {
@@ -398,16 +398,7 @@ func (s *Sharded) Snapshot(done func(error)) {
 }
 
 // Stats sums the per-shard operation counters.
-func (s *Sharded) Stats() Stats {
-	var t Stats
-	for _, st := range s.shards {
-		ss := st.Stats()
-		t.Gets += ss.Gets
-		t.Sets += ss.Sets
-		t.Dels += ss.Dels
-	}
-	return t
-}
+func (s *Sharded) Stats() Stats { return s.StatsFields().Total() }
 
 // SetInterleave sets every shard's batched-operation group width. A
 // re-split sub-batch interleaves within its shard; widths compose with
@@ -428,13 +419,22 @@ func (s *Sharded) InterleaveStats() mxtask.InterleaveStats {
 	return t
 }
 
-// StatsByShard returns each shard's operation counters in shard order.
-func (s *Sharded) StatsByShard() []Stats {
-	out := make([]Stats, len(s.shards))
+// StatsFields reports the router's share of the server's STATS reply:
+// per-shard counters, the shards' interleave and pager counters summed,
+// and the stealing group's when the shards share one.
+func (s *Sharded) StatsFields() BackendStats {
+	bs := BackendStats{PerShard: make([]Stats, len(s.shards)), Interleave: s.InterleaveStats()}
 	for i, st := range s.shards {
-		out[i] = st.Stats()
+		bs.PerShard[i] = st.Stats()
 	}
-	return out
+	if g := s.SchedulerGroup(); g != nil {
+		gs := g.Stats()
+		bs.Steal = &gs
+	}
+	if pg, ok := s.PagerStats(); ok {
+		bs.Pager = &pg
+	}
+	return bs
 }
 
 // Sync blocks until every shard's previously appended WAL records are

@@ -753,12 +753,16 @@ func (s *Store) InterleaveStats() mxtask.InterleaveStats {
 	return s.tree.InterleaveStats()
 }
 
-// Shards returns 1: a Store is the single-shard backend (Sharded is the
-// N-shard one).
-func (s *Store) Shards() int { return 1 }
-
-// StatsByShard returns the one shard's counters, mirroring Sharded.
-func (s *Store) StatsByShard() []Stats { return []Stats{s.Stats()} }
+// StatsFields reports the store's share of the server's STATS reply: its
+// counters as the one shard, the tree's interleave counters, and the
+// paged tier's when there is one.
+func (s *Store) StatsFields() BackendStats {
+	bs := BackendStats{PerShard: []Stats{s.Stats()}, Interleave: s.InterleaveStats()}
+	if pg, ok := s.PagerStats(); ok {
+		bs.Pager = &pg
+	}
+	return bs
+}
 
 // Drain blocks until the store's runtime has no pending tasks. Must not
 // be called from a task.

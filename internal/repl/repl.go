@@ -213,11 +213,16 @@ type Node struct {
 
 	// mu guards role/term transitions, the persisted state, and the
 	// applier/follower lifecycles hanging off them.
-	mu          sync.Mutex
-	role        atomic.Int32
-	term        atomic.Uint64
-	dirty       bool
-	primaryAddr string // canonical addr of the current primary (replica view)
+	mu    sync.Mutex
+	role  atomic.Int32
+	term  atomic.Uint64
+	dirty bool
+	// primaryAddr is the canonical addr of the current primary (replica
+	// view). Written under mu, but read lock-free: WriteAllowed and
+	// StatsExtra run on the server's reader goroutine, and a reader that
+	// waited for mu would wait out a whole Follow — which holds mu while
+	// it drains that same reader's admitted writes.
+	primaryAddr atomic.Pointer[string]
 
 	// Replica progress. applied is the last sequence fully applied (WAL +
 	// tree); treeSeq is bumped before a batch's tree ops start, so it
@@ -290,7 +295,7 @@ func (n *Node) Start() error {
 			return err
 		}
 	} else {
-		n.primaryAddr = n.cfg.PrimaryAddr
+		n.primaryAddr.Store(&n.cfg.PrimaryAddr)
 		n.role.Store(int32(RoleReplica))
 		n.startApplierLocked()
 	}
@@ -364,15 +369,17 @@ func (n *Node) maintain() {
 			return
 		case <-t.C:
 		}
-		if n.Role() == RolePrimary {
-			if n.cfg.LeaseTimeout > 0 {
-				last := time.Unix(0, n.lastLease.Load())
-				if time.Since(last) > n.cfg.LeaseTimeout {
-					n.fence("lease expired")
-				}
+		if n.Role() == RolePrimary && n.cfg.LeaseTimeout > 0 {
+			last := time.Unix(0, n.lastLease.Load())
+			if time.Since(last) > n.cfg.LeaseTimeout {
+				n.fence("lease expired")
 			}
-			n.gate.expire(time.Now(), ErrAckTimeout)
 		}
+		// Expire parked writes in every role: a primary draining toward a
+		// demotion is already fenced, and the writes it is waiting out
+		// must still give up at AckTimeout rather than hold the drain for
+		// its whole quiesce budget.
+		n.gate.expire(time.Now(), ErrAckTimeout)
 	}
 }
 
@@ -401,7 +408,7 @@ func (n *Node) becomePrimaryLocked(term uint64) error {
 	}
 	n.term.Store(term)
 	n.dirty = true
-	n.primaryAddr = ""
+	n.primaryAddr.Store(nil)
 	n.lastLease.Store(time.Now().UnixNano())
 	if n.cfg.AckReplicas > 0 {
 		timeout := n.cfg.AckTimeout
@@ -491,7 +498,7 @@ func (n *Node) Follow(term uint64, primary string) error {
 		return err
 	}
 	n.term.Store(term)
-	n.primaryAddr = primary
+	n.primaryAddr.Store(&primary)
 	n.caughtUp.Store(false)
 	seq := n.storeNow().WAL().Seq()
 	n.applied.Store(seq)
@@ -504,9 +511,10 @@ func (n *Node) Follow(term uint64, primary string) error {
 
 // primaryHint is the best-known primary address for readonly redirects.
 func (n *Node) primaryHint() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.primaryAddr
+	if p := n.primaryAddr.Load(); p != nil {
+		return *p
+	}
+	return ""
 }
 
 // --- kvstore.ReplHandler ---

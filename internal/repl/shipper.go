@@ -219,14 +219,18 @@ func (n *Node) sendSnapshot(conn net.Conn, w *bufio.Writer, term uint64) (snapSe
 }
 
 // ship streams durable records to one follower, bounded by the ship
-// window, heartbeating at idle. Exits on any stream error or role change.
+// window, heartbeating at idle. Exits on any stream error, a term change,
+// or once the node is a replica. It keeps shipping while the node is
+// fenced: a graceful demotion fences first and then drains the admitted
+// writes, which can only be acknowledged if their records still reach the
+// followers (both fence paths end the stream by closing its connection).
 func (n *Node) ship(f *follower, tail *wal.Reader, w *bufio.Writer, term uint64) {
 	hb := time.NewTicker(n.cfg.HeartbeatEvery)
 	defer hb.Stop()
 	window := uint64(n.cfg.ShipWindow)
 	batch := make([]wal.Record, 0, shipBatchMax)
 	for {
-		if n.Role() != RolePrimary || n.term.Load() != term {
+		if n.Role() == RoleReplica || n.term.Load() != term {
 			return
 		}
 		durable := n.storeNow().WAL().DurableSeq()
