@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench chaos stress cluster-chaos steal-stress prefetch-stress interleave-stress pager-stress fuzz ci figures verify dat clean
+.PHONY: all build vet test race bench ledger chaos stress cluster-chaos steal-stress prefetch-stress interleave-stress pager-stress fuzz ci figures verify dat clean
 
 all: build vet test
 
@@ -43,6 +43,39 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The benchmark ledger (ROADMAP ground rule "same-session pairs only"):
+# check PARENT out beside the working tree, run PAIRS alternating
+# parent/PR pairs of all six workloads plus one `-trace 1` pair (its
+# document holds the untraced end-to-end numbers and the per-layer ladder),
+# leave the traced pair at the repository root as BENCH_<PR>.parent.json /
+# BENCH_<PR>.json to be committed, and print `-compare parent pr` for
+# every pair (the target fails if any pair has a `worse` row). ~4 min per
+# plain pair, ~12 min for the traced one.
+#
+#	make ledger PR=22                # the PR is HEAD, its parent HEAD~
+#	make ledger PR=22 PARENT=HEAD    # the PR is still uncommitted
+PARENT ?= HEAD~
+PAIRS ?= 3
+LEDGER = $(CURDIR)/.bench_build/ledger
+ledger:
+	@test -n "$(PR)" || { echo "usage: make ledger PR=<n> [PARENT=<rev>] [PAIRS=<n>]"; exit 2; }
+	rm -rf $(LEDGER) && mkdir -p $(LEDGER)
+	git clone -q . $(LEDGER)/parent && git -C $(LEDGER)/parent checkout -q --detach $(PARENT)
+	set -e; for i in $$(seq $(PAIRS)) traced; do \
+		trace=0; order="parent pr"; \
+		case $$i in traced) trace=1;; *[02468]) order="pr parent";; esac; \
+		for side in $$order; do \
+			root=$(CURDIR); [ $$side = pr ] || root=$(LEDGER)/parent; \
+			bash $$root/benchmark/run.sh -trace $$trace -out $(LEDGER)/$$side.$$i.json; \
+		done; \
+	done
+	cp $(LEDGER)/parent.traced.json BENCH_$(PR).parent.json
+	cp $(LEDGER)/pr.traced.json BENCH_$(PR).json
+	worse=0; for i in $$(seq $(PAIRS)) traced; do \
+		echo "== pair $$i"; \
+		bash benchmark/run.sh -compare $(LEDGER)/parent.$$i.json $(LEDGER)/pr.$$i.json || worse=1; \
+	done; exit $$worse
 
 # Chaos harness (README "Chaos testing"): crash the durable store at every
 # enumerated WAL filesystem operation on the fault-injecting filesystem,

@@ -221,7 +221,7 @@ func (g *groupOp) stepCursor(ctx *mxtask.Context, c *groupCursor) {
 	var next *Node
 	var val Value
 	var found, atLeaf bool
-	ok := nodeResource(node).ReadInline(func() {
+	ok := node.Res.ReadInline(func() {
 		next, val, found, atLeaf = nil, 0, false, false
 		if !node.covers(op.key) {
 			next = node.right

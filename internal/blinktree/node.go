@@ -15,6 +15,7 @@ package blinktree
 
 import (
 	"mxtasking/internal/latch"
+	"mxtasking/internal/mxtask"
 )
 
 // Key and Value are the paper's 64-bit record format.
@@ -23,12 +24,19 @@ type (
 	Value = uint64
 )
 
-// Capacity is the number of entries per node. With 8-byte keys and 8-byte
-// payloads plus the header this keeps nodes at the paper's ~1 kB.
+// Capacity is the number of entries per node: 60 keys and 60 payloads of
+// 8 bytes each are 960 B, which with the 56-byte header makes a leaf
+// 1 016 B (see NodeSize). It is also the fan-out of inner nodes, so split
+// points are the same at every level.
 const Capacity = 60
 
-// NodeSize is the annotated node size in bytes (paper: 1 kB), the amount the
-// prefetcher pulls in per node.
+// NodeSize is the heap size class a leaf occupies, in bytes — the paper's
+// 1 kB node (§5.1, §6) and the amount the prefetcher is told to pull in per
+// node. Go puts an 8-byte malloc header in front of every pointerful
+// object larger than 512 B, so a Node must be at most NodeSize-8 = 1 016 B
+// to land in the 1 024 B class; one byte more and it is served from the
+// 1 152 B class. Inner nodes additionally own their child array (see Node)
+// and occupy the 1 536 B class.
 const NodeSize = 1024
 
 // NodeType distinguishes leaves, inner nodes, and branch nodes. A branch
@@ -72,6 +80,14 @@ func (t NodeType) String() string {
 // meaningful while right is non-nil (rightmost nodes are unbounded); a
 // traversal that looks for a key >= highKey follows the right sibling
 // (the Blink-tree's "move right" rule).
+//
+// Leaves and inner nodes have different memory layouts behind this one
+// type. A leaf is exactly this struct and has no child array (children is
+// nil). An inner or branch node is allocated as an innerNode, which appends
+// the child array to the same object; children points at it. Both are fixed
+// by newNode and never change. The three pointer words sit directly after
+// the header and before the key/value arrays, so the garbage collector
+// scans the first 56 bytes of a leaf and nothing else.
 type Node struct {
 	Version latch.VersionLock // optimistic synchronization
 	Latch   latch.RWSpinLock  // latch-based synchronization
@@ -80,25 +96,32 @@ type Node struct {
 	level   uint8 // leaf = 0
 	count   int32
 	highKey Key
-	right   *Node
 
-	keys     [Capacity]Key
-	values   [Capacity]Value     // leaves only
-	children [Capacity + 1]*Node // inner/branch only; index parallel to keys
-
+	right    *Node
+	children *[Capacity + 1]*Node // inner/branch only; index parallel to keys
 	// Res is the node's annotated data object handle when the node
 	// belongs to a TaskTree; nil in a ThreadTree.
-	Res resourceRef
+	Res *mxtask.Resource
+
+	keys   [Capacity]Key
+	values [Capacity]Value // leaves only
 }
 
-// resourceRef decouples the node structure from the mxtask package so the
-// thread-based baseline does not depend on the runtime. The TaskTree stores
-// its *mxtask.Resource here.
-type resourceRef = any
+// innerNode is the allocation behind an inner or branch node: the Node and
+// the child array it owns, as one heap object.
+type innerNode struct {
+	Node
+	kids [Capacity + 1]*Node
+}
 
 // newNode returns an empty node of the given type and level.
 func newNode(typ NodeType, level uint8) *Node {
-	return &Node{typ: typ, level: level}
+	if typ == LeafNode {
+		return &Node{typ: typ, level: level}
+	}
+	in := &innerNode{Node: Node{typ: typ, level: level}}
+	in.children = &in.kids
+	return &in.Node
 }
 
 // Type returns the node's type.

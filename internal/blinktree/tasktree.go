@@ -156,8 +156,6 @@ func (t *TaskTree) annotate(n *Node) {
 	n.Res = res
 }
 
-func nodeResource(n *Node) *mxtask.Resource { return n.Res.(*mxtask.Resource) }
-
 // Root returns the current root (for tests and diagnostics).
 func (t *TaskTree) Root() *Node { return t.root.Load() }
 
@@ -175,7 +173,7 @@ func (t *TaskTree) spawnOnNode(ctx *mxtask.Context, op any, node *Node, fn mxtas
 		task = t.rt.NewTask(fn, op)
 	}
 	task.Arg2 = node
-	task.AnnotateResource(nodeResource(node), mode)
+	task.AnnotateResource(node.Res, mode)
 	if ctx != nil {
 		ctx.Spawn(task)
 	} else {

@@ -37,7 +37,11 @@ const inlineReadAttempts = 4
 //     resources admit no access outside their pool's task order.
 //
 // fn must not spawn tasks or acquire resource latches itself; it is a
-// plain memory read the same way an optimistic task body is.
+// plain memory read the same way an optimistic task body is. The
+// restartability contract is the one AnnotateResource states for ReadOnly
+// task bodies, minus the buffering: fn runs up to inlineReadAttempts times
+// and nothing it does is undone, so every effect must be an idempotent
+// overwrite that the caller discards when ReadInline returns false.
 func (r *Resource) ReadInline(fn func()) bool {
 	switch r.prim {
 	case PrimNone:

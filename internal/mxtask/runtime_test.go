@@ -398,20 +398,20 @@ func TestAnnotationStrings(t *testing.T) {
 }
 
 func TestOptimisticReadSpawnsOnceDespiteRetry(t *testing.T) {
-	// A read task that spawns a follower and is forced to retry once must
-	// publish exactly one follower: spawns inside optimistic reads are
-	// buffered until validation succeeds.
+	// The restartability contract of AnnotateResource(…, ReadOnly): a read
+	// task that spawns a follower and is forced to retry once runs its
+	// body 1 + ReadRetries times but publishes exactly one follower —
+	// spawns inside optimistic reads are buffered until validation
+	// succeeds.
 	rt := newTestRuntime(1)
 	res := rt.CreateResource(nil, 0, IsolationExclusiveWriteSharedRead, RWWriteHeavy, FrequencyLow)
 	rt.Start()
 	defer rt.Stop()
 
-	var followers atomic.Int64
-	dirty := false
+	var followers, bodyRuns atomic.Int64
 	task := rt.NewTask(func(ctx *Context, _ *Task) {
 		ctx.Spawn(ctx.NewTask(func(*Context, *Task) { followers.Add(1) }, nil))
-		if !dirty {
-			dirty = true
+		if bodyRuns.Add(1) == 1 {
 			res.version.Lock()
 			res.version.Unlock() // invalidate the in-flight read
 		}
@@ -419,8 +419,12 @@ func TestOptimisticReadSpawnsOnceDespiteRetry(t *testing.T) {
 	task.AnnotateResource(res, ReadOnly)
 	rt.Spawn(task)
 	rt.Drain()
-	if got := rt.Stats().ReadRetries; got != 1 {
-		t.Fatalf("ReadRetries = %d, want 1", got)
+	retries := rt.Stats().ReadRetries
+	if retries != 1 {
+		t.Fatalf("ReadRetries = %d, want 1", retries)
+	}
+	if got := bodyRuns.Load(); got != 1+int64(retries) {
+		t.Fatalf("body ran %d times, want 1 + ReadRetries = %d", got, 1+retries)
 	}
 	if got := followers.Load(); got != 1 {
 		t.Fatalf("follower ran %d times, want exactly 1 (buffered spawn leaked)", got)

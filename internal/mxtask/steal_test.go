@@ -209,10 +209,10 @@ func stressBurstyWaves(t *testing.T, rng *rand.Rand) {
 	led.check(t)
 }
 
-// stressResourceMix interleaves stealable optimistic writes, pinned
-// exclusive-resource tasks, locality-annotated tasks, plain unbound tasks,
-// and task chains (spawns from inside bodies — including stolen ones,
-// which must route back into the home runtime).
+// stressResourceMix interleaves stealable optimistic writes, optimistic
+// reads, pinned exclusive-resource tasks, locality-annotated tasks, plain
+// unbound tasks, and task chains (spawns from inside bodies — including
+// stolen ones, which must route back into the home runtime).
 func stressResourceMix(t *testing.T, rng *rand.Rand) {
 	g := newStealGroup(4, 4)
 	g.Start()
@@ -266,10 +266,16 @@ func stressResourceMix(t *testing.T, rng *rand.Rand) {
 			}, nil).AnnotateResource(d.res, Write)
 			hot.Spawn(task)
 		case 3: // optimistic read against a hot domain
+			// The read's body re-runs whenever a write to d lands
+			// mid-read, so it has no side effect of its own: it marks
+			// through a spawned child, which is buffered and published
+			// once, by the validated run (see AnnotateResource).
 			d := ds[rng.Intn(len(ds))]
 			task := hot.NewTask(func(ctx *Context, t *Task) {
-				led.mark(id)
-				led.mark(roots + id)
+				ctx.Spawn(ctx.NewTask(func(*Context, *Task) {
+					led.mark(id)
+					led.mark(roots + id)
+				}, nil))
 			}, nil).AnnotateResource(d.res, ReadOnly)
 			hot.Spawn(task)
 		default: // plain unbound task

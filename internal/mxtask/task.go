@@ -60,6 +60,16 @@ func (t *Task) reset(fn Func, arg any) {
 // together with the intended access mode (paper Fig. 2, lines 4–5). The
 // runtime uses this single annotation for both prefetching and
 // synchronization.
+//
+// A ReadOnly task on an optimistically synchronized resource must be
+// restartable: the worker runs the body, validates the resource's version,
+// and runs the body again — counted in Stats.ReadRetries — for as long as a
+// write landed in between (Fig. 5 line 16), so the body executes
+// 1 + retries times. Only the validated run's Context.Spawn and
+// Context.Retire calls take effect; they are buffered and published once.
+// Every other side effect of the body happens once per run, so the body
+// may only read the resource, overwrite its own outputs idempotently, and
+// hand anything that must happen exactly once to a task it spawns.
 func (t *Task) AnnotateResource(r *Resource, mode AccessMode) *Task {
 	t.res = r
 	t.mode = mode
