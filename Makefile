@@ -30,13 +30,15 @@ RACE_PKGS = ./internal/mxtask ./internal/queue ./internal/latch \
 	./cmd/mxload
 
 # Race-detect RACE_PKGS, re-run the kvstore server/protocol suite behind
-# the 4-shard router and behind a thrashing 8-frame paged tier, and sweep
-# the seeded stress suites.
+# the 4-shard router and behind a thrashing 8-frame paged tier, run the
+# idle protocol's tests (internal/mxtask/idle_test.go) at 1, 2 and 4 Ps,
+# and sweep the seeded stress suites.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	MXKV_SHARDS=4 $(GO) test -race -count=1 ./internal/kvstore
 	MXKV_PAGED=1 $(GO) test -race -count=1 ./internal/kvstore
 	$(GO) test -race -count=1 -shuffle=on -run 'TestGroup' ./internal/mxtask
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestNoLostWakeups|StopBoundedWhileParked' ./internal/mxtask
 	$(MAKE) prefetch-stress
 	$(MAKE) interleave-stress
 	$(MAKE) pager-stress
@@ -135,14 +137,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzPageCodec' -fuzztime=10s ./internal/pager
 
 # The gate run before merging: vet, full build, an order-shuffled full
-# test pass (catches tests coupled through shared state), the benchmark
+# test pass at 1, 2 and 4 Ps (catches tests coupled through shared state
+# and tests that only pass when goroutines never truly overlap), the benchmark
 # module's own harness tests (it is a separate module, outside ./...),
 # everything `race` covers, two sharded/paged benchmark smokes, the chaos
 # sweep, and a fuzz smoke pass over every fuzz target.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -count=1 -shuffle=on ./...
+	$(GO) test -count=1 -shuffle=on -cpu 1,2,4 ./...
 	(cd benchmark && $(GO) test ./...)
 	$(MAKE) race
 	$(GO) test -run '^$$' -bench 'BenchmarkServerSharded' -benchtime 100x .

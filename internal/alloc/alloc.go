@@ -11,6 +11,9 @@
 // Blocks may be freed on a different core than they were allocated on
 // (Figure 8's case ①); the block then joins the freeing core's heap, which
 // shuffles memory between heaps but avoids synchronization on the hot path.
+// A core heap's list is capped at 2·chunkBlocks: past that, its cold half
+// goes back to the processor heap, so a core that only frees cannot hoard
+// what a core that only allocates keeps refilling from the global heap.
 package alloc
 
 import (
@@ -62,6 +65,7 @@ type processorHeap struct {
 // (§5.2).
 type CoreHeap struct {
 	free *Block
+	n    int // length of free
 	proc *processorHeap
 	allo *Allocator
 	core int
@@ -103,15 +107,14 @@ func (a *Allocator) Nodes() int { return len(a.processors) }
 // Alloc returns a block, reusing the most recently freed one when possible.
 // Only the owning worker may call Alloc on its core heap.
 func (h *CoreHeap) Alloc() *Block {
-	if b := h.free; b != nil {
-		h.free = b.next
-		b.next = nil
+	if h.free != nil {
 		h.allo.Stats.CoreHits.Add(1)
-		return b
+	} else {
+		h.refill()
 	}
-	h.refill()
 	b := h.free
 	h.free = b.next
+	h.n--
 	b.next = nil
 	return b
 }
@@ -129,6 +132,31 @@ func (h *CoreHeap) Free(b *Block) {
 	}
 	b.next = h.free
 	h.free = b
+	h.n++
+	if h.n >= 2*chunkBlocks {
+		h.spill()
+	}
+}
+
+// spill keeps the chunkBlocks most recently freed blocks — the cache-warm
+// LIFO head — and hands the cold rest back to the processor heap.
+func (h *CoreHeap) spill() {
+	tail := h.free
+	for i := 1; i < chunkBlocks; i++ {
+		tail = tail.next
+	}
+	cold := tail.next
+	tail.next = nil
+	last := cold
+	for last.next != nil {
+		last = last.next
+	}
+	p := h.proc
+	p.mu.Lock()
+	last.next = p.free
+	p.free = cold
+	p.mu.Unlock()
+	h.n = chunkBlocks
 }
 
 // refill pulls a chunk of blocks from the processor heap.
@@ -151,6 +179,7 @@ func (h *CoreHeap) refill() {
 	tail.next = nil
 	p.mu.Unlock()
 	h.free = head
+	h.n = n
 }
 
 // refillLocked allocates a fresh chunk from the global heap (Go's runtime,

@@ -128,6 +128,50 @@ func TestProcessorHeapSharing(t *testing.T) {
 	}
 }
 
+// TestSkewedFreeIsBounded is the producer/consumer shape of a task runtime
+// whose tasks are spawned on one core and run on another: core 0 only
+// allocates, core 1 only frees. Core 1's list must stay capped and its
+// cold half must flow back to core 0 through the processor heap, so the
+// global heap is reached a constant number of times, not once per chunk.
+func TestSkewedFreeIsBounded(t *testing.T) {
+	a := New(2, 1)
+	h0, h1 := a.Core(0), a.Core(1)
+	for i := 0; i < 1_000_000; i++ {
+		h1.Free(h0.Alloc())
+	}
+	if g := a.Stats.GlobalRefs.Load(); g > 4 {
+		t.Fatalf("GlobalRefs = %d after 1M skewed alloc/free pairs, want ≤ 4", g)
+	}
+	if n := h0.FreeListLen(); n > chunkBlocks {
+		t.Fatalf("allocating core's free list = %d, want ≤ %d", n, chunkBlocks)
+	}
+	if n := h1.FreeListLen(); n >= 2*chunkBlocks {
+		t.Fatalf("freeing core's free list = %d, want < %d", n, 2*chunkBlocks)
+	}
+}
+
+// TestSpillKeepsHotHead checks that the cap evicts the cold end of the
+// list: the most recently freed block still comes back first.
+func TestSpillKeepsHotHead(t *testing.T) {
+	a := New(1, 1)
+	h := a.Core(0)
+	blocks := make([]*Block, 2*chunkBlocks)
+	for i := range blocks {
+		blocks[i] = h.Alloc()
+	}
+	for _, b := range blocks {
+		h.Free(b)
+	}
+	if n := h.FreeListLen(); n != chunkBlocks {
+		t.Fatalf("free list = %d after reaching the cap, want %d", n, chunkBlocks)
+	}
+	for i := len(blocks) - 1; i >= len(blocks)-chunkBlocks; i-- {
+		if got := h.Alloc(); got != blocks[i] {
+			t.Fatalf("allocation %d did not return the block freed at %d", len(blocks)-1-i, i)
+		}
+	}
+}
+
 func TestQuickAllocFreeBalance(t *testing.T) {
 	// Property: after any alloc/free sequence, live set size equals
 	// allocations minus frees, and all live blocks are distinct.

@@ -139,7 +139,19 @@ type Runtime struct {
 	// Interleave* fields.
 	interleave interleavePtr
 
-	pending  atomic.Int64 // spawned but not yet completed tasks
+	pending atomic.Int64 // spawned but not yet completed tasks
+	_       [56]byte     // keeps the idle protocol off pending's cache line
+
+	// Idle protocol (worker.go, Worker.park): parked counts workers that
+	// announced they are about to block on wake; active counts workers
+	// inside a drainPool batch of this runtime's pools. wake has one slot
+	// per worker, so a producer never blocks and, once full, every worker
+	// that parks finds a token (see signal).
+	parked atomic.Int32
+	active atomic.Int32
+	_      [56]byte
+	wake   chan struct{}
+
 	spawnRR  atomic.Uint64
 	resRR    atomic.Uint64
 	stopped  atomic.Bool
@@ -156,6 +168,7 @@ func New(cfg Config) *Runtime {
 		epochMgr: cfg.sharedEpoch,
 		alloc:    alloc.New(cfg.Workers, cfg.NUMANodes),
 		stopTick: make(chan struct{}),
+		wake:     make(chan struct{}, cfg.Workers),
 	}
 	if rt.epochMgr == nil {
 		rt.epochMgr = epoch.NewManager(cfg.Workers, cfg.EpochPolicy, cfg.EpochBatch)
@@ -249,14 +262,20 @@ func (rt *Runtime) epochClock() {
 		case <-rt.stopTick:
 			return
 		case <-ticker.C:
-			rt.epochMgr.Advance()
+			rt.AdvanceEpoch()
 		}
 	}
 }
 
-// AdvanceEpoch manually advances the global epoch (for tests and harnesses
-// that disabled the ticker).
-func (rt *Runtime) AdvanceEpoch() { rt.epochMgr.Advance() }
+// AdvanceEpoch advances the global epoch (the ticker calls it; tests and
+// harnesses that disabled the ticker call it by hand). Parked workers are
+// woken so they collect what the advance made reclaimable.
+func (rt *Runtime) AdvanceEpoch() {
+	rt.epochMgr.Advance()
+	for i := rt.parked.Load(); i > 0; i-- {
+		rt.signal()
+	}
+}
 
 // Stop shuts the runtime down. Workers finish their current batch and
 // exit; queued tasks that have not started are dropped. Use Drain first to
@@ -328,23 +347,48 @@ func (rt *Runtime) Spawn(t *Task) {
 // explicit core/NUMA annotation, else stay local. localPool is an index
 // into rt.pools (a worker id on the common path, or the home pool a stolen
 // task was drained from); out-of-range hints fall back to round-robin.
+//
+// schedule is the only place a task enters a pool once the runtime runs
+// (Runtime.Spawn, Context.Spawn, optimistic-read publication and barrier
+// release all end here), so it is also where parked workers are woken.
+// The wake-up cannot be lost. Push raises the pool's size counter before
+// the load of parked below; Worker.park raises parked before it re-reads
+// every pool's size. Go's atomics are sequentially consistent, so in
+// their single total order one of the two loads comes second and sees
+// the other side's store: either this producer sees parked > 0 and
+// leaves a token, or the parker sees the task and does not block.
 func (rt *Runtime) schedule(t *Task, localPool int) {
 	res := t.res
+	var p int
 	switch {
 	case res != nil && (res.prim.serializesAll() ||
 		(res.prim.serializesWrites() && t.mode == Write)):
-		rt.pools[res.pool].Push(t)
+		p = res.pool
 	case t.targetCore != AnyCore:
-		rt.pools[t.targetCore%rt.cfg.Workers].Push(t)
+		p = t.targetCore % rt.cfg.Workers
 	case t.targetNUMA != AnyCore:
-		rt.pools[rt.pickInNUMA(t.targetNUMA)].Push(t)
+		p = rt.pickInNUMA(t.targetNUMA)
 	case localPool != AnyCore && localPool < len(rt.pools):
-		rt.pools[localPool].Push(t)
+		p = localPool
 	default:
 		// External producers have no local pool; distribute
 		// round-robin over every pool, spares included, so a hot
 		// runtime exposes all its consume latches to thieves.
-		rt.pools[int(rt.spawnRR.Add(1)-1)%len(rt.pools)].Push(t)
+		p = int(rt.spawnRR.Add(1)-1) % len(rt.pools)
+	}
+	rt.pools[p].Push(t)
+	if rt.parked.Load() > 0 {
+		rt.signal()
+	}
+}
+
+// signal leaves one wake token unless wake is full. A full channel holds
+// a token for every worker, so no parked worker can miss this push; a
+// token nobody needed costs its eventual receiver one extra idle round.
+func (rt *Runtime) signal() {
+	select {
+	case rt.wake <- struct{}{}:
+	default:
 	}
 }
 

@@ -81,8 +81,8 @@ type Worker struct {
 	// from stolen tasks must route through the home runtime's scheduler
 	// (resource pool indices are home-relative coordinates). Both are nil
 	// outside a stolen batch.
-	execHome  *Runtime
-	execPool  *Pool
+	execHome   *Runtime
+	execPool   *Pool
 	idleStreak int
 	stealFail  int // consecutive failed group-steal attempts (backoff)
 
@@ -157,6 +157,12 @@ func (w *Worker) run() {
 		defer runtime.UnlockOSThread()
 	}
 	stealing := w.rt.group != nil && w.rt.group.steal.Enabled
+	var fallback *time.Timer
+	if stealing {
+		fallback = time.NewTimer(time.Hour)
+		fallback.Stop()
+		defer fallback.Stop()
+	}
 	for {
 		if w.rt.stopped.Load() {
 			return
@@ -199,21 +205,75 @@ func (w *Worker) run() {
 		if w.rt.stopped.Load() {
 			return
 		}
-		// Progressive backoff keeps idle workers from starving
-		// application goroutines when the host has fewer CPUs than
-		// workers (the paper's testbed pins one worker per core; this
-		// library must also behave on oversubscribed machines).
 		w.idleStreak++
+		if w.rt.active.Load() == 0 {
+			// Quiescent: this round found nothing and no peer is
+			// mid-batch, so nothing arrives before the next push
+			// from outside. Block until that push signals.
+			w.park(fallback)
+			continue
+		}
+		// A peer is mid-batch and will spawn within microseconds.
+		// Progressive backoff hands off without a syscall and still
+		// keeps idle workers from starving application goroutines when
+		// the host has fewer CPUs than workers. The Gosched phase must
+		// stay short: yielding goroutines keep the global run queue
+		// non-empty, and Go polls the network only when it is empty.
 		if w.idleStreak < 32 {
 			runtime.Gosched()
 		} else {
 			pause := time.Duration(w.idleStreak) * time.Microsecond
-			if pause > 200*time.Microsecond {
-				pause = 200 * time.Microsecond
+			if pause > parkFallback {
+				pause = parkFallback
 			}
 			time.Sleep(pause)
 		}
 	}
+}
+
+// parkFallback bounds both the mid-batch back-off sleep and how long a
+// parked stealing-group member waits before looking at its siblings'
+// backlog again: their pushes signal their own runtime, not this one.
+const parkFallback = 200 * time.Microsecond
+
+// park blocks the worker on the runtime's wake token until a producer
+// pushes a task, the runtime stops, the epoch advances or, for a stealing
+// group member (fallback != nil), parkFallback elapses. The counterpart
+// is Runtime.schedule, whose comment carries the lost-wake-up argument:
+// parked is raised before the pools are re-read, so a task pushed after
+// the re-read is guaranteed to leave a token.
+func (w *Worker) park(fallback *time.Timer) {
+	rt := w.rt
+	rt.parked.Add(1)
+	for _, p := range rt.pools {
+		if p.Len() > 0 {
+			// A task arrived (or its producer is mid-push): go
+			// round again, yielding so that producer can finish.
+			rt.parked.Add(-1)
+			runtime.Gosched()
+			return
+		}
+	}
+	var timeout <-chan time.Time // nil, never ready, unless stealing
+	if fallback != nil {
+		fallback.Reset(parkFallback)
+		timeout = fallback.C
+	}
+	select {
+	case <-rt.wake:
+		w.idleStreak = 0
+	case <-rt.stopTick:
+	case <-timeout:
+		// idleStreak keeps counting: it is the stealing hysteresis.
+		fallback = nil // fired, nothing left to stop
+	}
+	if fallback != nil && !fallback.Stop() {
+		select {
+		case <-fallback.C:
+		default:
+		}
+	}
+	rt.parked.Add(-1)
 }
 
 // drainPool acquires the pool, drains up to batchLimit tasks into the
@@ -245,6 +305,11 @@ func (w *Worker) drainPool(p *Pool, own bool, home *Runtime, stolen bool) int {
 		p.Release()
 		return 0
 	}
+	// A batch counts as active from its first task, not from TryAcquire:
+	// idle workers probing empty pools must not keep each other from
+	// parking. The home runtime's counter, because that is where this
+	// batch's spawns land.
+	home.active.Add(1)
 	if home != w.rt {
 		w.execHome, w.execPool = home, p
 	}
@@ -273,6 +338,7 @@ func (w *Worker) drainPool(p *Pool, own bool, home *Runtime, stolen bool) int {
 	w.execHome, w.execPool = nil, nil
 	n := len(w.window)
 	p.Release()
+	home.active.Add(-1)
 	if !start.IsZero() {
 		w.adaptObserve(n, time.Since(start))
 	}
