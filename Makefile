@@ -31,12 +31,17 @@ RACE_PKGS = ./internal/mxtask ./internal/queue ./internal/latch \
 
 # Race-detect RACE_PKGS, re-run the kvstore server/protocol suite behind
 # the 4-shard router and behind a thrashing 8-frame paged tier, run the
-# idle protocol's tests (internal/mxtask/idle_test.go) at 1, 2 and 4 Ps,
-# and sweep the seeded stress suites.
+# Blink-tree scan tests in the two tree modes whose synchronization the
+# detector can follow (serialized and rwlock: the leaf cursor under real
+# latches, racing real splits) — the first internal/blinktree code under
+# -race here; the package's optimistic mode stays out, see RACE_PKGS —
+# run the idle protocol's tests (internal/mxtask/idle_test.go) at 1, 2 and
+# 4 Ps, and sweep the seeded stress suites.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	MXKV_SHARDS=4 $(GO) test -race -count=1 ./internal/kvstore
 	MXKV_PAGED=1 $(GO) test -race -count=1 ./internal/kvstore
+	$(GO) test -race -count=1 -run 'TestTaskTreeScan(Basic|Limit)/(serialized|rwlock)|TestTaskTreeScanRacingSplits' ./internal/blinktree
 	$(GO) test -race -count=1 -shuffle=on -run 'TestGroup' ./internal/mxtask
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestNoLostWakeups|StopBoundedWhileParked' ./internal/mxtask
 	$(MAKE) prefetch-stress

@@ -73,8 +73,8 @@ func main() {
 	}
 	fmt.Printf("network delete(9001): existed=%v\n", existed)
 
-	// Range scans run as task chains too: optimistic leaf readers feed
-	// collector tasks serialized through the scan's own resource.
+	// Range scans run as task chains too: the descent is one task per
+	// level, then one cursor task reads the leaves in key order.
 	pairs, err := client.Scan(10, 15)
 	if err != nil {
 		log.Fatal(err)

@@ -74,5 +74,15 @@ func FuzzNodeLowerBound(f *testing.F) {
 		if lb := n.lowerBound(probe); lb < 0 || lb > Capacity {
 			t.Fatalf("lowerBound out of range under torn count: %d", lb)
 		}
+		// The scan's leaf visit reads the same torn count: it must neither
+		// index past the arrays nor append more than Capacity records.
+		for _, torn := range []int32{Capacity + 7, -3} {
+			n.count = torn
+			op := &ScanOp{from: probe, to: ^Key(0)}
+			op.visit(n)
+			if len(op.Results) > Capacity {
+				t.Fatalf("scan visit appended %d records under torn count %d", len(op.Results), torn)
+			}
+		}
 	})
 }

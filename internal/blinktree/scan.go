@@ -1,17 +1,14 @@
 package blinktree
 
-import (
-	"sort"
-	"sync/atomic"
+import "mxtasking/internal/mxtask"
 
-	"mxtasking/internal/mxtask"
-)
-
-// ScanOp is an asynchronous range scan over [From, To). It showcases how
-// larger operations compose from MxTasks: each leaf is read by an
-// optimistic task; the per-leaf results are handed to collector tasks that
-// the runtime serializes through the scan's own exclusive resource — no
-// mutex in sight, exactly the paper's "synchronization through scheduling".
+// ScanOp is an asynchronous range scan over [From, To). It composes from
+// the same two pieces the tree's point operations and interleaved descents
+// use (DESIGN.md §9): a scheduled chain of annotated step tasks descends
+// from the root to the first leaf in range, and one unannotated cursor task
+// then walks the leaf chain, reading each leaf through
+// mxtask.Resource.ReadInline. Synchronization comes from the node
+// annotations alone — the scan owns no resource and no mutex (§4.2).
 //
 // Read Results only after completion (the Done task, or Runtime.Drain).
 type ScanOp struct {
@@ -19,30 +16,29 @@ type ScanOp struct {
 	from Key
 	to   Key
 
-	// collect is the scan's result buffer's annotated resource: exclusive
-	// isolation serializes all collector tasks onto one pool.
-	collect *mxtask.Resource
-
-	// Results holds the matching pairs, sorted by key after completion.
+	// Results holds the matching pairs, in key order.
 	Results []KV
 
-	// Limit, when positive, caps len(Results): once the collector has
-	// gathered Limit records the leaf walk stops early instead of
-	// visiting (and buffering) the rest of the range.
+	// Limit, when positive, caps len(Results): the walk stops at exactly
+	// Limit records instead of visiting (and buffering) the rest of the
+	// range.
 	Limit int
 
-	// Truncated reports, after completion, that the scan hit Limit and
-	// records past the cap may exist in [From, To). Resume from
-	// Results[len(Results)-1].Key + 1 to continue.
+	// Truncated reports, after completion, that the scan hit Limit while
+	// another in-range record or an in-range right sibling remained.
+	// Resume from Results[len(Results)-1].Key + 1 to continue.
 	Truncated bool
 
-	// stop is set by the collector when Limit is reached; the leaf walk
-	// polls it and terminates the chain at the next step.
-	stop atomic.Bool
-
-	// Done, when non-nil, is spawned with the ScanOp as Arg once the
-	// scan has visited every leaf in range and sorted the results.
+	// Done, when non-nil, runs with the ScanOp as Arg once the scan is
+	// complete: called by the cursor task that finishes the walk, or
+	// spawned by an annotated step that does.
 	Done mxtask.Func
+
+	// mark is len(Results) when the pending node visit was handed out:
+	// zero for the descent, set by the cursor before each leaf. A
+	// restartable step body never writes it, so a re-run visit truncates
+	// back to the same mark and appends its leaf exactly once.
+	mark int
 }
 
 // KV is one scanned record.
@@ -51,32 +47,31 @@ type KV struct {
 	Value Value
 }
 
-// leafBatch carries one leaf's matching records to the collector.
-type leafBatch struct {
-	op      *ScanOp
-	kv      []KV
-	last    bool // no further leaves in range
-	stopped bool // walk cut short by the result cap (implies last)
-}
+// cursorLeaves is how many leaves one cursor task reads before it re-spawns
+// itself: a snapshot-sized scan yields the worker every few tens of
+// microseconds instead of holding it for milliseconds.
+const cursorLeaves = 64
+
+// scanPresize bounds the Results capacity reserved up front for a limited
+// scan: a short scan appends without regrowing, a huge limit does not
+// reserve memory its range may never fill.
+const scanPresize = 4 * Capacity
 
 // Scan spawns a range scan of [from, to). The Done task (optional) fires
-// after the results are complete and sorted.
+// after the results are complete.
 func (t *TaskTree) Scan(from, to Key, done mxtask.Func) *ScanOp {
 	return t.ScanLimit(from, to, 0, done)
 }
 
 // ScanLimit is Scan with a result cap: a positive limit stops the leaf
-// walk once that many records have been collected and marks the op
-// Truncated when records past the cap may remain. limit <= 0 scans the
-// whole range.
+// walk at exactly that many records and marks the op Truncated when
+// records past the cap may remain. limit <= 0 scans the whole range.
 func (t *TaskTree) ScanLimit(from, to Key, limit int, done mxtask.Func) *ScanOp {
 	op := &ScanOp{tree: t, from: from, to: to, Limit: limit, Done: done}
-	// The collector buffer is a data object like any other: exclusive
-	// isolation → serialize-by-scheduling (§4.2).
-	op.collect = t.rt.CreateResource(op, 0,
-		mxtask.IsolationExclusive, mxtask.RWWriteHeavy, mxtask.FrequencyLow)
-	root := t.loadRoot()
-	t.spawnOnNode(nil, op, root, scanStep, t.scanStepMode())
+	if limit > 0 {
+		op.Results = make([]KV, 0, min(limit, scanPresize))
+	}
+	t.spawnOnNode(nil, op, t.loadRoot(), scanStep, t.scanStepMode())
 	return op
 }
 
@@ -88,91 +83,107 @@ func (t *TaskTree) scanStepMode() mxtask.AccessMode {
 	return mxtask.ReadOnly
 }
 
-// scanStep visits one node on the way to (and then along) the leaf level.
-// Restartable: it reads tree state and spawns buffered follow-ups only.
+// visit reads one node for the scan and returns where to go next. It
+// truncates Results back to mark first and only overwrites op fields, so
+// it may re-run under failed optimistic validation. An inner node yields
+// its right sibling (the range start moved past it) or the child covering
+// the range start; a leaf appends its in-range records above the last one
+// already held and yields its right sibling, or reports done. Reads are
+// clamped so a torn node can misdirect but never index out of range or
+// append more than Capacity records; validation rejects the outcome.
+func (op *ScanOp) visit(node *Node) (next *Node, leaf, done bool) {
+	op.Results = op.Results[:op.mark]
+	op.Truncated = false
+	if node.Type() != LeafNode {
+		if !node.covers(op.from) {
+			return node.right, false, false
+		}
+		return node.childFor(op.from), false, false
+	}
+	cnt := min(max(int(node.count), 0), Capacity)
+	n := len(op.Results)
+	for i := node.lowerBound(op.from); i < cnt; i++ {
+		k := node.keys[i]
+		if k >= op.to {
+			return nil, true, true
+		}
+		if n > 0 && k <= op.Results[n-1].Key {
+			continue // already held: a split moved it right behind us
+		}
+		if op.Limit > 0 && n == op.Limit {
+			op.Truncated = true
+			return nil, true, true
+		}
+		op.Results = append(op.Results, KV{Key: k, Value: node.values[i]})
+		n++
+	}
+	right := node.right
+	if right == nil || node.highKey >= op.to {
+		return nil, true, true
+	}
+	if op.Limit > 0 && n == op.Limit {
+		op.Truncated = true
+		return nil, true, true
+	}
+	return right, true, false
+}
+
+// scanStep is one annotated node visit: a step of the descent, or a leaf
+// the cursor handed back. Restartable: visit truncates to the spawner's
+// mark, and every spawn is buffered under an optimistic read.
 func scanStep(ctx *mxtask.Context, task *mxtask.Task) {
 	op := task.Arg.(*ScanOp)
 	node := task.Arg2.(*Node)
 	t := op.tree
 
-	if !node.covers(op.from) && node.Type() != LeafNode {
-		next := node.right
-		if next == nil {
-			next = node
-		}
-		t.spawnOnNode(ctx, op, next, scanStep, t.scanStepMode())
-		return
-	}
-	if node.Type() != LeafNode {
-		next := node.childFor(op.from)
-		if next == nil {
-			next = node
-		}
-		t.spawnOnNode(ctx, op, next, scanStep, t.scanStepMode())
-		return
-	}
-	// Result cap reached while the walk was still racing ahead of the
-	// collectors: terminate the chain with a synthetic final batch instead
-	// of reading further leaves. The walk is one sequential chain, so
-	// exactly one last batch is produced either way.
-	if op.Limit > 0 && op.stop.Load() {
-		terminal := ctx.NewTask(collectStep, &leafBatch{op: op, last: true, stopped: true})
-		terminal.AnnotateResource(op.collect, mxtask.Write)
-		ctx.Spawn(terminal)
-		return
-	}
-	// Leaf: gather matches into a fresh batch (fresh per attempt, so a
-	// retried optimistic read cannot double-collect), then hand it to a
-	// collector task and continue along the sibling chain.
-	batch := &leafBatch{op: op}
-	for i := 0; i < node.Count(); i++ {
-		if k := node.keys[i]; k >= op.from && k < op.to {
-			batch.kv = append(batch.kv, KV{Key: k, Value: node.values[i]})
-		}
-	}
-	next := node.right
-	if next == nil || node.highKey >= op.to {
-		batch.last = true
-	}
-	collector := ctx.NewTask(collectStep, batch)
-	collector.AnnotateResource(op.collect, mxtask.Write)
-	ctx.Spawn(collector) // buffered under the optimistic read: fires once
-	if !batch.last {
-		t.spawnOnNode(ctx, op, next, scanLeafStep, t.scanStepMode())
-	}
-}
-
-// scanLeafStep continues a scan along the leaf chain (the node is already
-// a leaf; no descent logic needed).
-func scanLeafStep(ctx *mxtask.Context, task *mxtask.Task) {
-	scanStep(ctx, task)
-}
-
-// collectStep appends one leaf's batch to the result buffer. All
-// collectors of a scan run in the same pool, in order, so the append is
-// unsynchronized by construction. The final collector sorts and fires
-// Done.
-func collectStep(ctx *mxtask.Context, task *mxtask.Task) {
-	batch := task.Arg.(*leafBatch)
-	op := batch.op
-	op.Results = append(op.Results, batch.kv...)
-	if op.Limit > 0 && len(op.Results) >= op.Limit {
-		op.stop.Store(true) // walk: no further leaves needed
-	}
-	if batch.last {
-		sort.Slice(op.Results, func(i, j int) bool {
-			return op.Results[i].Key < op.Results[j].Key
-		})
-		if op.Limit > 0 && len(op.Results) > op.Limit {
-			op.Results = op.Results[:op.Limit]
-			op.Truncated = true
-		} else if batch.stopped {
-			// Stopped exactly at the cap with unvisited leaves left:
-			// more in-range records may (or may not) exist.
-			op.Truncated = true
-		}
+	next, leaf, done := op.visit(node)
+	switch {
+	case done:
 		if op.Done != nil {
 			ctx.Spawn(ctx.NewTask(op.Done, op))
 		}
+	case next == nil:
+		// Torn read (nil sibling or child): validation fails and the
+		// body re-runs; re-spawn on the same node in case it did not.
+		t.spawnOnNode(ctx, op, node, scanStep, t.scanStepMode())
+	case leaf:
+		cursor := ctx.NewTask(scanCursor, op)
+		cursor.Arg2 = next
+		ctx.Spawn(cursor)
+	default:
+		t.spawnOnNode(ctx, op, next, scanStep, t.scanStepMode())
 	}
+}
+
+// scanCursor walks the leaf chain from the leaf in Arg2. The task is
+// unannotated, so its body runs exactly once and may advance the scan's
+// state; each leaf is read inside ReadInline, whose section is visit. A
+// leaf ReadInline refuses (a serialized pool, or validation that keeps
+// failing) goes back to an annotated scanStep, which resumes the cursor
+// after it.
+func scanCursor(ctx *mxtask.Context, task *mxtask.Task) {
+	op := task.Arg.(*ScanOp)
+	node := task.Arg2.(*Node)
+	t := op.tree
+
+	for range cursorLeaves {
+		op.mark = len(op.Results)
+		var next *Node
+		var done bool
+		ok := node.Res.ReadInline(func() { next, _, done = op.visit(node) })
+		if !ok {
+			t.spawnOnNode(ctx, op, node, scanStep, t.scanStepMode())
+			return
+		}
+		if done {
+			if op.Done != nil {
+				op.Done(ctx, task)
+			}
+			return
+		}
+		node = next
+	}
+	cont := ctx.NewTask(scanCursor, op)
+	cont.Arg2 = node
+	ctx.Spawn(cont)
 }

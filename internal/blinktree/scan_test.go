@@ -150,17 +150,26 @@ func TestTaskTreeScanUnderConcurrentUpdates(t *testing.T) {
 
 // TestTaskTreeScanRacingSplits drives scans through a region of the tree
 // while concurrent inserts force leaf splits under them. A Blink split
-// moves keys only rightward and leaves a right-link behind, and in
-// serialized mode every node visit is an exclusively scheduled task, so a
-// scan must (a) never observe keys out of order or duplicated and
-// (b) never miss a key that existed before the scan started — no matter
-// how many leaves split mid-flight. Run under -race this also proves the
-// scan path shares no unsynchronized state with the split path.
+// moves keys only rightward and leaves a right-link behind, so a scan must
+// (a) never observe keys out of order or duplicated and (b) never miss a
+// key that existed before the scan started — no matter how many leaves
+// split mid-flight. It runs in the two modes whose synchronization the race
+// detector can follow: serialized, where the cursor hands every leaf back
+// to an exclusively scheduled step, and rwlock, where the cursor reads
+// leaves inline under their reader latches while writers split them. Run
+// under -race this also proves the scan path shares no unsynchronized
+// state with the split path.
 func TestTaskTreeScanRacingSplits(t *testing.T) {
+	for _, mode := range []TaskSyncMode{TaskSyncSerialized, TaskSyncRWLatch} {
+		t.Run(mode.String(), func(t *testing.T) { testScanRacingSplits(t, mode) })
+	}
+}
+
+func testScanRacingSplits(t *testing.T, mode TaskSyncMode) {
 	rt := newTreeRuntime(4)
 	rt.Start()
 	defer rt.Stop()
-	tree := NewTaskTree(rt, TaskSyncSerialized)
+	tree := NewTaskTree(rt, mode)
 
 	// Preload the even keys; the racing inserts add odd keys between
 	// them, doubling the population and forcing a wave of leaf splits
@@ -286,5 +295,54 @@ func TestTaskTreeScanLimit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// insertChunked loads keys 0..n-1 (value = key) in chunks of 4 096 inserts,
+// draining between chunks, which builds a large tree far faster than one
+// unchunked burst of inserts.
+func insertChunked(tree *TaskTree, n int) {
+	for base := 0; base < n; base += 4096 {
+		for k := base; k < min(base+4096, n); k++ {
+			tree.Insert(Key(k), Value(k))
+		}
+		tree.Runtime().Drain()
+	}
+}
+
+// TestTaskTreeScanYieldsToLookups proves the cursor's periodic re-spawn: on
+// one worker, a lookup spawned right behind a full scan of a large tree
+// completes before the scan does, because the cursor gives the worker back
+// every cursorLeaves leaves instead of walking ~1 700 leaves in one task.
+func TestTaskTreeScanYieldsToLookups(t *testing.T) {
+	rt := newTreeRuntime(1)
+	rt.Start()
+	defer rt.Stop()
+	tree := NewTaskTree(rt, TaskSyncOptimistic)
+	const n = 50_000
+	insertChunked(tree, n)
+
+	var seq atomic.Int64
+	var scanAt, lookupAt int64
+	var rows int
+	var found bool
+	// Both operations are spawned from one task, so neither can start
+	// before the other is queued.
+	rt.Spawn(rt.NewTask(func(*mxtask.Context, *mxtask.Task) {
+		tree.Scan(0, n, func(_ *mxtask.Context, task *mxtask.Task) {
+			rows = len(task.Arg.(*ScanOp).Results)
+			scanAt = seq.Add(1)
+		})
+		tree.LookupWith(n-1, func(_ *mxtask.Context, task *mxtask.Task) {
+			found = task.Arg.(*Op).Found
+			lookupAt = seq.Add(1)
+		})
+	}, nil))
+	rt.Drain()
+	if rows != n || !found {
+		t.Fatalf("scan returned %d rows (want %d), lookup found=%v", rows, n, found)
+	}
+	if lookupAt > scanAt {
+		t.Fatalf("lookup completed after the full scan (lookup #%d, scan #%d): the cursor did not yield", lookupAt, scanAt)
 	}
 }

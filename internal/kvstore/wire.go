@@ -345,19 +345,34 @@ func formatValues(results []Result) string {
 	return string(b)
 }
 
+// uintField is the most one number takes in a reply: a blank and the 20
+// digits of the largest uint64.
+const uintField = len(" ") + 20
+
+// formatRange sizes its builder for the longest possible reply and fills it
+// in place, so a SCAN reply of any length costs one allocation.
 func formatRange(res ScanResult) string {
 	if res.Err != nil {
 		return "ERR scan failed"
 	}
-	b := append(make([]byte, 0, 16+16*len(res.Pairs)), "RANGE"...)
-	b = appendUints(b, uint64(len(res.Pairs)))
+	var b strings.Builder
+	b.Grow(len("RANGE") + (1+2*len(res.Pairs))*uintField + len(" MORE"))
+	b.WriteString("RANGE")
+	writeUint(&b, uint64(len(res.Pairs)))
 	for _, kv := range res.Pairs {
-		b = appendUints(b, kv.Key, kv.Value)
+		writeUint(&b, kv.Key)
+		writeUint(&b, kv.Value)
 	}
 	if res.Truncated {
-		b = append(b, " MORE"...)
+		b.WriteString(" MORE")
 	}
-	return string(b)
+	return b.String()
+}
+
+// writeUint writes a blank and n to b, formatting n on the stack.
+func writeUint(b *strings.Builder, n uint64) {
+	var num [uintField]byte
+	b.Write(strconv.AppendUint(append(num[:0], ' '), n, 10))
 }
 
 func formatOverloaded(retryAfter time.Duration) string {

@@ -256,3 +256,16 @@ func parseValuesReply(reply string) ([]Result, error) {
 	}
 	return results, nil
 }
+
+// TestFormatRangeAllocs pins a SCAN reply to one allocation: the builder is
+// sized for the widest numbers up front, so neither regrowth nor a final
+// copy into a string is paid per reply.
+func TestFormatRangeAllocs(t *testing.T) {
+	res := ScanResult{Truncated: true}
+	for i := uint64(0); i < 100; i++ {
+		res.Pairs = append(res.Pairs, blinktree.KV{Key: ^uint64(0) - i, Value: ^uint64(0) - 2*i})
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = formatRange(res) }); allocs > 1 {
+		t.Errorf("formatting a 100-pair SCAN reply allocates %.1f times, want <= 1", allocs)
+	}
+}
