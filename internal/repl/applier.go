@@ -66,10 +66,20 @@ func (a *applier) stopped() bool {
 	}
 }
 
-func (a *applier) setConn(c net.Conn) {
+// setConn publishes the live stream for stopApplierLocked to sever. Once
+// stop is closed it refuses and closes c instead: a stop that landed
+// between the dial and this call found no conn to close, and the BEATs
+// on c would keep the session alive forever. Both sides hold a.mu, so
+// either the stop sees the conn or this call sees the stop.
+func (a *applier) setConn(c net.Conn) bool {
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	if c != nil && a.stopped() {
+		c.Close()
+		return false
+	}
 	a.conn = c
-	a.mu.Unlock()
+	return true
 }
 
 func (a *applier) run() {
@@ -83,7 +93,9 @@ func (a *applier) run() {
 			backoff = min(backoff*2, 200*time.Millisecond)
 			continue
 		}
-		a.setConn(conn)
+		if !a.setConn(conn) {
+			continue
+		}
 		err = a.session(conn)
 		a.setConn(nil)
 		conn.Close()
@@ -162,8 +174,9 @@ func (a *applier) session(conn net.Conn) error {
 	}
 
 	// Stream loop: RECS batches and BEAT heartbeats until the connection
-	// dies or the node changes role out from under us (stopApplier).
-	for {
+	// dies or the node changes role out from under us (stopApplier, which
+	// also severs the conn; the stop check covers a frame read before it).
+	for !a.stopped() {
 		conn.SetReadDeadline(time.Now().Add(n.cfg.StaleAfter))
 		line, err := br.ReadString('\n')
 		if err != nil {
@@ -221,6 +234,7 @@ func (a *applier) session(conn net.Conn) error {
 			return errors.New("unexpected frame: " + strings.TrimSpace(line))
 		}
 	}
+	return nil
 }
 
 // adoptTerm accepts the primary's (possibly newer) term. An older term is
