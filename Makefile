@@ -23,7 +23,7 @@ test:
 # (internal/kvstore/treemode_race.go), which is data-race-free by
 # construction.
 RACE_PKGS = ./internal/mxtask ./internal/queue ./internal/latch \
-	./internal/epoch ./internal/alloc ./internal/tbb ./internal/metrics \
+	./internal/alloc ./internal/tbb ./internal/metrics \
 	./internal/ycsb ./internal/tpch ./internal/hashjoin ./internal/sim \
 	./internal/wal ./internal/kvstore ./internal/faultfs ./internal/linearize \
 	./internal/netfault ./internal/repl ./internal/prefetch ./internal/pager \
@@ -107,7 +107,7 @@ chaos:
 # The named sweeps below are aliases for it (DESIGN.md section in brackets):
 #   steal-stress       [§7]  cross-runtime stealing: adversarial spawn
 #                            patterns with exactly-once and mutual-exclusion
-#                            ledgers, steal exclusions, shared-epoch reclamation
+#                            ledgers, steal exclusions
 #   prefetch-stress    [§8]  learned prefetcher: sequential, strided,
 #                            phase-changing, interleaved and random streams
 #   cluster-chaos      [§6]  3-node cluster through seeded schedules of

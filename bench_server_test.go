@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/kvstore"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/prefetch"
@@ -24,7 +23,7 @@ import (
 // benchServer starts an in-process server preloaded with keys 0..n-1.
 func benchServer(b *testing.B, n uint64) *kvstore.Server {
 	b.Helper()
-	rt := mxtask.New(mxtask.Config{Workers: 4, PrefetchDistance: 2, EpochPolicy: epoch.Batched})
+	rt := mxtask.New(mxtask.Config{Workers: 4, PrefetchDistance: 2})
 	rt.Start()
 	b.Cleanup(rt.Stop)
 	store := kvstore.New(rt)
@@ -116,7 +115,6 @@ func benchShardedServer(b *testing.B, shards int, records uint64, steal bool) *k
 	g := mxtask.NewGroup(mxtask.Config{
 		Workers:          4,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
 		Steal:            mxtask.StealConfig{Enabled: steal},
 	}, shards)
 	g.Start()
@@ -255,7 +253,7 @@ func BenchmarkServerShardedZipf(b *testing.B) {
 // the A/B pairs below run the same workload against both settings.
 func benchLearnedServer(b *testing.B, n uint64, learned bool) *kvstore.Server {
 	b.Helper()
-	rt := mxtask.New(mxtask.Config{Workers: 4, PrefetchDistance: 2, EpochPolicy: epoch.Batched})
+	rt := mxtask.New(mxtask.Config{Workers: 4, PrefetchDistance: 2})
 	rt.Start()
 	b.Cleanup(rt.Stop)
 	var opts []kvstore.ServerOption
@@ -446,7 +444,7 @@ func benchName(depth int) string {
 // dataset runs larger-than-RAM by 4x.
 func benchPagedServer(b *testing.B, n uint64, paged bool) (*kvstore.Server, *kvstore.Store) {
 	b.Helper()
-	rt := mxtask.New(mxtask.Config{Workers: 4, PrefetchDistance: 2, EpochPolicy: epoch.Batched})
+	rt := mxtask.New(mxtask.Config{Workers: 4, PrefetchDistance: 2})
 	rt.Start()
 	b.Cleanup(rt.Stop)
 	var store *kvstore.Store
@@ -536,7 +534,7 @@ func BenchmarkServerPagedYCSB(b *testing.B) {
 // chains, 0 = default interleaved descents), preloaded in-process.
 func benchInterleaveServer(b *testing.B, width int) *kvstore.Server {
 	b.Helper()
-	rt := mxtask.New(mxtask.Config{Workers: 4, PrefetchDistance: 2, EpochPolicy: epoch.Batched})
+	rt := mxtask.New(mxtask.Config{Workers: 4, PrefetchDistance: 2})
 	rt.Start()
 	b.Cleanup(rt.Stop)
 	store := kvstore.New(rt)

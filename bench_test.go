@@ -21,7 +21,6 @@ import (
 
 	"mxtasking/internal/alloc"
 	"mxtasking/internal/blinktree"
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/hashjoin"
 	"mxtasking/internal/index/btreeolc"
 	"mxtasking/internal/index/bwtree"
@@ -83,7 +82,7 @@ func BenchmarkFig09Granularity(b *testing.B) {
 	for _, g := range []int{8, 128, 4096, 65536} {
 		b.Run(fmt.Sprintf("real/records=%d", g), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rt := mxtask.New(mxtask.Config{Workers: 2, EpochPolicy: epoch.Off, EpochInterval: -1})
+				rt := mxtask.New(mxtask.Config{Workers: 2})
 				rt.Start()
 				j := hashjoin.NewJoin(rt, customers, orders, g)
 				tuples := j.Run()
@@ -117,8 +116,6 @@ func realTreeWorkload(b *testing.B, distance int, w ycsb.Workload) {
 	rt := mxtask.New(mxtask.Config{
 		Workers:          2,
 		PrefetchDistance: distance,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	})
 	rt.Start()
 	defer rt.Stop()
@@ -175,18 +172,9 @@ func BenchmarkFig10Prefetch(b *testing.B) {
 // Figure 11 — EBMR policies
 // ---------------------------------------------------------------------
 
+// Sim-only: the Go runtime has no epoch-based reclamation (DESIGN.md,
+// "Why the Go runtime has no EBMR").
 func BenchmarkFig11EBMR(b *testing.B) {
-	for _, policy := range []epoch.Policy{epoch.Off, epoch.Batched, epoch.EveryTask} {
-		b.Run("real/"+policy.String(), func(b *testing.B) {
-			m := epoch.NewManager(1, policy, 0)
-			w := m.Worker(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.Enter()
-				w.Leave()
-			}
-		})
-	}
 	b.Run("sim", func(b *testing.B) {
 		var off, every sim.Result
 		for i := 0; i < b.N; i++ {
@@ -205,7 +193,7 @@ func BenchmarkFig11EBMR(b *testing.B) {
 
 func taskTreeBench(b *testing.B, mode blinktree.TaskSyncMode) {
 	b.Helper()
-	rt := mxtask.New(mxtask.Config{Workers: 2, EpochPolicy: epoch.Batched, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 2})
 	rt.Start()
 	defer rt.Stop()
 	tree := blinktree.NewTaskTree(rt, mode)
@@ -377,27 +365,11 @@ func BenchmarkAblationPrefetchDistance(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEpochBatch sweeps the EBMR advancement batch (design
-// decision 3) on the real epoch manager.
-func BenchmarkAblationEpochBatch(b *testing.B) {
-	for _, batch := range []int{1, 10, 50, 200} {
-		b.Run(fmt.Sprintf("real/batch=%d", batch), func(b *testing.B) {
-			m := epoch.NewManager(1, epoch.Batched, batch)
-			w := m.Worker(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.Enter()
-				w.Leave()
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPlacement compares resource-routed vs always-local
 // spawning (design decision 1) through the spawn path costs.
 func BenchmarkAblationPlacement(b *testing.B) {
 	run := func(b *testing.B, iso mxtask.Isolation) {
-		rt := mxtask.New(mxtask.Config{Workers: 2, EpochPolicy: epoch.Off, EpochInterval: -1})
+		rt := mxtask.New(mxtask.Config{Workers: 2})
 		rt.Start()
 		defer rt.Stop()
 		x := 0
@@ -441,7 +413,7 @@ func BenchmarkSimAllFigures(b *testing.B) {
 // walBenchLog opens a fresh WAL on its own runtime for one sub-benchmark.
 func walBenchLog(b *testing.B, opts wal.Options) (*wal.Log, func()) {
 	b.Helper()
-	rt := mxtask.New(mxtask.Config{Workers: 4, EpochPolicy: epoch.Off, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 4})
 	rt.Start()
 	opts.Dir = b.TempDir()
 	log, err := wal.Open(rt, opts)

@@ -52,7 +52,6 @@ import (
 	"strings"
 	"time"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/kvstore"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/prefetch"
@@ -151,7 +150,6 @@ func main() {
 	cfg := mxtask.Config{
 		Workers:          *workers,
 		PrefetchDistance: *distance,
-		EpochPolicy:      epoch.Batched,
 		PinWorkers:       *pin,
 		Steal: mxtask.StealConfig{
 			Enabled:    *steal,

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/kvstore"
 	"mxtasking/internal/metrics"
 	"mxtasking/internal/mxtask"
@@ -13,7 +12,7 @@ import (
 
 func startServer(t *testing.T) *kvstore.Server {
 	t.Helper()
-	rt := mxtask.New(mxtask.Config{Workers: 2, EpochPolicy: epoch.Batched})
+	rt := mxtask.New(mxtask.Config{Workers: 2})
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	srv, err := kvstore.NewServer(kvstore.New(rt), "127.0.0.1:0")

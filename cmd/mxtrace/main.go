@@ -1,7 +1,7 @@
 // Command mxtrace runs a YCSB workload on the task-based Blink-tree with
 // the runtime tracer enabled and prints an execution profile: what each
 // worker spent its events on (executions by synchronization class, steals,
-// optimistic retries, prefetches, reclamation).
+// optimistic retries, prefetches).
 //
 // Usage:
 //
@@ -18,7 +18,6 @@ import (
 	"text/tabwriter"
 
 	"mxtasking/internal/blinktree"
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/prefetch"
 	"mxtasking/internal/ycsb"
@@ -48,8 +47,6 @@ func main() {
 	rt := mxtask.New(mxtask.Config{
 		Workers:          *workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 		TraceCapacity:    *capacity,
 	})
 	rt.Start()
@@ -115,7 +112,6 @@ func profile(events []mxtask.TraceEvent, workers int) {
 		gsteals  int
 		retries  int
 		prefetch int
-		collect  int
 	}
 	rows := make([]row, workers)
 	for _, e := range events {
@@ -133,8 +129,6 @@ func profile(events []mxtask.TraceEvent, workers int) {
 			r.retries++
 		case mxtask.TracePrefetch:
 			r.prefetch++
-		case mxtask.TraceCollect:
-			r.collect++
 		}
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -142,7 +136,7 @@ func profile(events []mxtask.TraceEvent, workers int) {
 	for _, c := range execClass {
 		fmt.Fprintf(tw, "\t%s", c)
 	}
-	fmt.Fprintln(tw, "\tsteals\tgsteals\tretries\tprefetch\tcollect")
+	fmt.Fprintln(tw, "\tsteals\tgsteals\tretries\tprefetch")
 	order := make([]int, workers)
 	for i := range order {
 		order[i] = i
@@ -154,7 +148,7 @@ func profile(events []mxtask.TraceEvent, workers int) {
 		for _, c := range r.exec {
 			fmt.Fprintf(tw, "\t%d", c)
 		}
-		fmt.Fprintf(tw, "\t%d\t%d\t%d\t%d\t%d\n", r.steals, r.gsteals, r.retries, r.prefetch, r.collect)
+		fmt.Fprintf(tw, "\t%d\t%d\t%d\t%d\n", r.steals, r.gsteals, r.retries, r.prefetch)
 	}
 	tw.Flush()
 	fmt.Printf("(last %d events per worker; enlarge -trace for full runs)\n", capEvents(events, workers))

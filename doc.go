@@ -4,7 +4,7 @@
 //
 // The library lives in internal/: the MxTasking runtime (internal/mxtask)
 // with annotation-driven synchronization and prefetching, its substrates
-// (queues, latches, epoch reclamation, the multi-level task allocator),
+// (queues, latches, the multi-level task allocator),
 // the task-based Blink-tree and the baseline systems the paper compares
 // against, plus a deterministic model of the paper's evaluation machine
 // (internal/sim) that regenerates every figure.

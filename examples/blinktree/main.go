@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mxtasking/internal/blinktree"
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/ycsb"
 )
@@ -41,7 +40,6 @@ func main() {
 	rt := mxtask.New(mxtask.Config{
 		Workers:          *workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
 	})
 	rt.Start()
 	defer rt.Stop()

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"time"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/hashjoin"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/tpch"
@@ -32,9 +31,7 @@ func main() {
 	fmt.Printf("%-14s %-16s %s\n", "records/task", "M tuples/s", "output")
 	for _, g := range []int{4, 16, 64, 256, 1024, 4096, 16384, 65536} {
 		rt := mxtask.New(mxtask.Config{
-			Workers:       *workers,
-			EpochPolicy:   epoch.Off,
-			EpochInterval: -1,
+			Workers: *workers,
 		})
 		rt.Start()
 		join := hashjoin.NewJoin(rt, cust, ord, g)

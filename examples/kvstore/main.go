@@ -9,7 +9,6 @@ import (
 	"log"
 	"runtime"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/kvstore"
 	"mxtasking/internal/mxtask"
 )
@@ -18,7 +17,6 @@ func main() {
 	rt := mxtask.New(mxtask.Config{
 		Workers:          runtime.GOMAXPROCS(0),
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
 	})
 	rt.Start()
 	defer rt.Stop()

@@ -11,17 +11,15 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 )
 
 func main() {
-	// A runtime with four logical cores. The epoch policy and prefetch
-	// distance mirror the paper's defaults.
+	// A runtime with four logical cores. The prefetch distance mirrors
+	// the paper's default.
 	rt := mxtask.New(mxtask.Config{
 		Workers:          4,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
 	})
 	rt.Start()
 	defer rt.Stop()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mxtasking/internal/blinktree"
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 )
 
@@ -13,7 +12,6 @@ import (
 func Example() {
 	rt := mxtask.New(mxtask.Config{
 		Workers: 2, PrefetchDistance: 2,
-		EpochPolicy: epoch.Batched, EpochInterval: -1,
 	})
 	rt.Start()
 	defer rt.Stop()

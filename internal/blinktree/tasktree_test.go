@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 )
 
@@ -15,8 +14,6 @@ func newTreeRuntime(workers int) *mxtask.Runtime {
 	return mxtask.New(mxtask.Config{
 		Workers:          workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	})
 }
 

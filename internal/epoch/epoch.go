@@ -1,225 +1,12 @@
-// Package epoch implements Epoch Based Memory Reclamation (EBMR) adapted to
-// a task-based environment, as described in §4.4 of the MxTasks paper.
-//
-// Time is divided into coarse epochs by a global counter. Workers publish a
-// local epoch while they may hold optimistic references; logically removed
-// objects are tagged with the global epoch at removal time and physically
-// reclaimed only once every worker has advanced past that epoch.
-//
-// Because MxTasks split logical operations across many short tasks, the
-// paper proposes two advancement policies:
-//
-//   - EveryTask: synchronize the local epoch before each task execution and
-//     reset it to "not in a critical section" afterwards. Safe but causes a
-//     fenced store/load pair per task.
-//   - Batched: refresh the local epoch only every N tasks (and when idle),
-//     trading a bounded reclamation delay for almost-zero overhead. The
-//     paper uses N = 50; that is the default here.
+// Package epoch keeps the one name mxtask.Config.EpochPolicy's remaining
+// caller sets. The runtime has no epoch-based reclamation: Go's garbage
+// collector is the reclamation scheme (DESIGN.md, "Why the Go runtime has
+// no EBMR"). The paper's policies are modelled in internal/sim.
 package epoch
 
-import (
-	"math"
-	"sync/atomic"
-)
-
-// Policy selects how workers advance their local epochs.
+// Policy names a reclamation policy of the paper (§4.4); the runtime
+// ignores it.
 type Policy int
 
-const (
-	// Off disables reclamation entirely (the "No Reclamation" baseline in
-	// Figure 11). Retired objects are dropped on the floor and left to
-	// Go's garbage collector; the limbo bookkeeping is skipped.
-	Off Policy = iota
-	// EveryTask wraps every task execution in a local-epoch update.
-	EveryTask
-	// Batched refreshes the local epoch every BatchSize task executions.
-	Batched
-)
-
-// String returns the policy name as used in Figure 11's legend.
-func (p Policy) String() string {
-	switch p {
-	case Off:
-		return "No Reclamation"
-	case EveryTask:
-		return "Every Task"
-	case Batched:
-		return "Batching Tasks"
-	default:
-		return "unknown"
-	}
-}
-
-// DefaultBatchSize is the paper's chosen advancement batch ("e.g., 50").
-const DefaultBatchSize = 50
-
-// notInCritical marks a worker that holds no optimistic references;
-// conceptually "infinity" (§4.4: the local value is reset to infinity when
-// leaving the critical path).
-const notInCritical = math.MaxUint64
-
-// retired couples an object's reclamation callback with the epoch at which
-// it was logically removed.
-type retired struct {
-	free  func()
-	epoch uint64
-}
-
-// Manager coordinates the global epoch and per-worker state.
-//
-// The global epoch is advanced explicitly via Advance (the runtime does so
-// periodically, playing the role of the paper's 50 ms ticker; tests and the
-// simulator advance it deterministically).
-type Manager struct {
-	policy    Policy
-	batchSize int
-	global    atomic.Uint64
-	workers   []*Worker
-}
-
-// NewManager returns a manager for n workers using the given policy.
-// batchSize is only meaningful for the Batched policy; pass 0 for the
-// default.
-func NewManager(n int, policy Policy, batchSize int) *Manager {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	m := &Manager{policy: policy, batchSize: batchSize}
-	m.global.Store(1)
-	m.workers = make([]*Worker, n)
-	for i := range m.workers {
-		w := &Worker{mgr: m}
-		w.local.Store(notInCritical)
-		m.workers[i] = w
-	}
-	return m
-}
-
-// Policy returns the manager's reclamation policy.
-func (m *Manager) Policy() Policy { return m.policy }
-
-// Worker returns the per-worker handle for worker i.
-func (m *Manager) Worker(i int) *Worker { return m.workers[i] }
-
-// Global returns the current global epoch.
-func (m *Manager) Global() uint64 { return m.global.Load() }
-
-// Advance increments the global epoch and returns the new value. The caller
-// (the runtime's epoch ticker) should afterwards trigger Collect on each
-// worker, typically by spawning reclamation tasks (§4.4).
-func (m *Manager) Advance() uint64 {
-	if m.policy == Off {
-		return m.global.Load()
-	}
-	return m.global.Add(1)
-}
-
-// minLocal computes the lowest local epoch across workers: the horizon below
-// which retired objects are unreachable.
-func (m *Manager) minLocal() uint64 {
-	minEpoch := m.global.Load()
-	for _, w := range m.workers {
-		if l := w.local.Load(); l < minEpoch {
-			minEpoch = l
-		}
-	}
-	return minEpoch
-}
-
-// Worker is the per-worker EBMR state. All methods except the documented
-// exceptions must be called only from the owning worker.
-type Worker struct {
-	mgr   *Manager
-	local atomic.Uint64 // current local epoch; notInCritical when outside
-	limbo []retired     // logically removed, not yet reclaimable
-	count int           // tasks executed since the last refresh (Batched)
-
-	// Reclaimed counts objects physically freed; exported for tests and
-	// metrics.
-	Reclaimed atomic.Uint64
-}
-
-// Enter marks the beginning of a (task) critical section according to the
-// policy. It must be called before executing a task that may read
-// optimistically synchronized objects.
-func (w *Worker) Enter() {
-	switch w.mgr.policy {
-	case Off:
-		return
-	case EveryTask:
-		w.local.Store(w.mgr.global.Load())
-	case Batched:
-		if w.count == 0 {
-			w.local.Store(w.mgr.global.Load())
-		}
-		w.count++
-		if w.count >= w.mgr.batchSize {
-			w.count = 0
-		}
-	}
-}
-
-// Leave marks the end of a critical section. Under EveryTask the local
-// epoch resets to infinity; under Batched it stays published until the batch
-// completes (Idle resets it when the worker runs out of work, guaranteeing
-// progress as §4.4 requires).
-func (w *Worker) Leave() {
-	if w.mgr.policy == EveryTask {
-		w.local.Store(notInCritical)
-	}
-}
-
-// Idle tells the manager the worker has no runnable tasks; the local epoch
-// resets so it never blocks reclamation while the worker waits.
-func (w *Worker) Idle() {
-	if w.mgr.policy == Off {
-		return
-	}
-	w.count = 0
-	w.local.Store(notInCritical)
-}
-
-// Retire registers free to run once no worker can still hold a reference to
-// the removed object. With policy Off the callback is discarded: the object
-// stays reachable by Go's GC until truly unreferenced, which is the
-// "No Reclamation" baseline's semantics.
-func (w *Worker) Retire(free func()) {
-	if w.mgr.policy == Off {
-		return
-	}
-	w.limbo = append(w.limbo, retired{free: free, epoch: w.mgr.global.Load()})
-}
-
-// Collect reclaims every limbo object retired strictly before the minimal
-// local epoch. It returns the number of objects freed. The runtime calls it
-// from reclamation tasks it spawns at epoch boundaries.
-func (w *Worker) Collect() int {
-	if w.mgr.policy == Off || len(w.limbo) == 0 {
-		return 0
-	}
-	horizon := w.mgr.minLocal()
-	kept := w.limbo[:0]
-	freed := 0
-	for _, r := range w.limbo {
-		if r.epoch < horizon {
-			r.free()
-			freed++
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	// Zero the tail so freed callbacks are collectable.
-	for i := len(kept); i < len(w.limbo); i++ {
-		w.limbo[i] = retired{}
-	}
-	w.limbo = kept
-	w.Reclaimed.Add(uint64(freed))
-	return freed
-}
-
-// Pending returns the number of retired-but-unreclaimed objects.
-func (w *Worker) Pending() int { return len(w.limbo) }
-
-// LocalEpoch returns the published local epoch (notInCritical reads as the
-// maximum uint64). Exposed for tests.
-func (w *Worker) LocalEpoch() uint64 { return w.local.Load() }
+// Batched is the paper's batched advancement policy.
+const Batched Policy = 0

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mxtasking/internal/blinktree"
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/hashjoin"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/tpch"
@@ -53,8 +52,6 @@ func realYCSBRun(cfg RealConfig, w ycsb.Workload, distance int) float64 {
 	rt := mxtask.New(mxtask.Config{
 		Workers:          cfg.Workers,
 		PrefetchDistance: distance,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	})
 	rt.Start()
 	defer rt.Stop()
@@ -103,7 +100,7 @@ func RealJoin(cfg RealConfig) Report {
 	orders := tpch.Orders(cfg.Records*5, cfg.Records/2, 2)
 	s := Series{Name: "MxTasking join (real)"}
 	for _, g := range []int{8, 64, 512, 4096, 32768} {
-		rt := mxtask.New(mxtask.Config{Workers: cfg.Workers, EpochPolicy: epoch.Off, EpochInterval: -1})
+		rt := mxtask.New(mxtask.Config{Workers: cfg.Workers})
 		rt.Start()
 		join := hashjoin.NewJoin(rt, customers, orders, g)
 		start := time.Now()

@@ -3,7 +3,6 @@ package hashjoin_test
 import (
 	"fmt"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/hashjoin"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/tpch"
@@ -12,7 +11,7 @@ import (
 // A morsel-style task-based join: builds run first, probes are released by
 // the runtime's dependency barriers.
 func Example() {
-	rt := mxtask.New(mxtask.Config{Workers: 2, EpochPolicy: epoch.Off, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 2})
 	rt.Start()
 	defer rt.Stop()
 

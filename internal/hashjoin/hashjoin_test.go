@@ -3,16 +3,13 @@ package hashjoin
 import (
 	"testing"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/tpch"
 )
 
 func newRT(workers int) *mxtask.Runtime {
 	return mxtask.New(mxtask.Config{
-		Workers:       workers,
-		EpochPolicy:   epoch.Off,
-		EpochInterval: -1,
+		Workers: workers,
 	})
 }
 

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/netfault"
 )
@@ -47,8 +46,6 @@ func matrixBackend(t *testing.T, sharded bool) (testBackend, func()) {
 		g := mxtask.NewGroup(mxtask.Config{
 			Workers:          2,
 			PrefetchDistance: 2,
-			EpochPolicy:      epoch.Batched,
-			EpochInterval:    -1,
 		}, 2)
 		g.Start()
 		return NewSharded(g.Runtimes()), g.Stop

@@ -73,7 +73,7 @@ func runChaosPagedOnce(t *testing.T, crashAt int64) int64 {
 	}
 	rec := linearize.NewRecorder()
 
-	rt := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 4})
 	rt.Start()
 	st, _, err := Open(rt, Durability{Dir: chaosDir, FS: fs, Paged: chaosPagedConfig()})
 	if err == nil {
@@ -90,7 +90,7 @@ func runChaosPagedOnce(t *testing.T, crashAt int64) int64 {
 	// garbage by construction (torn writebacks, lost frames); recovery
 	// must truncate it and rebuild from the WAL.
 	image := fs.CrashImage()
-	rt2 := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt2 := mxtask.New(mxtask.Config{Workers: 4})
 	rt2.Start()
 	defer rt2.Stop()
 	st2, _, err := Open(rt2, Durability{Dir: chaosDir, FS: image, Paged: chaosPagedConfig()})
@@ -163,7 +163,7 @@ func TestChaosPagedCrashAtEveryFsOp(t *testing.T) {
 // every scripted failure lands on pager traffic specifically.
 func TestChaosPagedEvictionWriteFailure(t *testing.T) {
 	fs := faultfs.NewMem(chaosSeed)
-	rt := mxtask.New(mxtask.Config{Workers: 2, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 2})
 	rt.Start()
 	defer rt.Stop()
 	st, err := NewPaged(rt, PagedConfig{

@@ -70,7 +70,7 @@ func chaosShardedWorkload(st *Sharded, keys []uint64) {
 func newChaosRuntimes() []*mxtask.Runtime {
 	rts := make([]*mxtask.Runtime, chaosShards)
 	for i := range rts {
-		rts[i] = mxtask.New(mxtask.Config{Workers: 2, EpochInterval: -1})
+		rts[i] = mxtask.New(mxtask.Config{Workers: 2})
 		rts[i].Start()
 	}
 	return rts

@@ -93,7 +93,7 @@ func runChaosOnce(t *testing.T, crashAt int64) int64 {
 	}
 	rec := linearize.NewRecorder()
 
-	rt := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 4})
 	rt.Start()
 	st, _, err := Open(rt, Durability{Dir: chaosDir, FS: fs})
 	if err == nil {
@@ -108,7 +108,7 @@ func runChaosOnce(t *testing.T, crashAt int64) int64 {
 
 	// The store is gone; all that survives is the crash image.
 	image := fs.CrashImage()
-	rt2 := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt2 := mxtask.New(mxtask.Config{Workers: 4})
 	rt2.Start()
 	defer rt2.Stop()
 	st2, _, err := Open(rt2, Durability{Dir: chaosDir, FS: image})
@@ -179,7 +179,7 @@ func TestChaosCatchesDroppedFsync(t *testing.T) {
 	fs.SetKeepPolicy(faultfs.KeepNone) // the crash loses everything unsynced
 	rec := linearize.NewRecorder()
 
-	rt := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 4})
 	rt.Start()
 	st, _, err := Open(rt, Durability{Dir: chaosDir, FS: fs})
 	if err != nil {
@@ -195,7 +195,7 @@ func TestChaosCatchesDroppedFsync(t *testing.T) {
 	cut := rec.Now()
 
 	image := fs.CrashImage()
-	rt2 := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt2 := mxtask.New(mxtask.Config{Workers: 4})
 	rt2.Start()
 	defer rt2.Stop()
 	st2, _, err := Open(rt2, Durability{Dir: chaosDir, FS: image})

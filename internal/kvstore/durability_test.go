@@ -15,7 +15,7 @@ import (
 
 func newRT(t testing.TB) *mxtask.Runtime {
 	t.Helper()
-	rt := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 4})
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	return rt
@@ -29,7 +29,7 @@ func TestKillAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	const n = 500
 
-	rt1 := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt1 := mxtask.New(mxtask.Config{Workers: 4})
 	rt1.Start()
 	store, _, err := Open(rt1, Durability{Dir: dir})
 	if err != nil {
@@ -89,7 +89,7 @@ func TestKillAndRestart(t *testing.T) {
 // log tail; recovery must keep every acked op and discard the torn bytes.
 func TestRestartWithTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
-	rt1 := mxtask.New(mxtask.Config{Workers: 2, EpochInterval: -1})
+	rt1 := mxtask.New(mxtask.Config{Workers: 2})
 	rt1.Start()
 	store, _, err := Open(rt1, Durability{Dir: dir})
 	if err != nil {
@@ -142,7 +142,7 @@ func TestRestartWithTornFinalRecord(t *testing.T) {
 // cycle: snapshot, log truncation, more writes, crash, recover.
 func TestRestartAfterSnapshotAndTruncation(t *testing.T) {
 	dir := t.TempDir()
-	rt1 := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt1 := mxtask.New(mxtask.Config{Workers: 4})
 	rt1.Start()
 	store, _, err := Open(rt1, Durability{Dir: dir, SegmentBytes: 64 * wal.FrameSize})
 	if err != nil {
@@ -213,7 +213,7 @@ func TestRestartAfterSnapshotAndTruncation(t *testing.T) {
 // calls and the store recovers across them.
 func TestAutomaticSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	rt1 := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt1 := mxtask.New(mxtask.Config{Workers: 4})
 	rt1.Start()
 	store, _, err := Open(rt1, Durability{
 		Dir:           dir,

@@ -3,14 +3,13 @@ package kvstore_test
 import (
 	"fmt"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/kvstore"
 	"mxtasking/internal/mxtask"
 )
 
 // The end-to-end store: embedded API plus the TCP protocol.
 func Example() {
-	rt := mxtask.New(mxtask.Config{Workers: 2, EpochPolicy: epoch.Batched, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 2})
 	rt.Start()
 	defer rt.Stop()
 

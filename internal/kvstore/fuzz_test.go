@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 )
 
@@ -22,7 +21,7 @@ func FuzzServerHandle(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	rt := mxtask.New(mxtask.Config{Workers: 1, EpochPolicy: epoch.Off, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 1})
 	rt.Start()
 	defer rt.Stop()
 	store := New(rt)
@@ -57,7 +56,7 @@ func FuzzLookupBatch(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0}, 64)         // odd trailing byte, max width
 	f.Add(bytes.Repeat([]byte{0, 9}, MaxBatchKeys+1), 8) // over the MGET cap
 
-	rt := mxtask.New(mxtask.Config{Workers: 2, EpochPolicy: epoch.Off, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 2})
 	rt.Start()
 	defer rt.Stop()
 	store := New(rt)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 )
 
@@ -16,8 +15,6 @@ func newStore(t testing.TB, workers int) (*Store, func()) {
 	rt := mxtask.New(mxtask.Config{
 		Workers:          workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	})
 	rt.Start()
 	return New(rt), rt.Stop
@@ -69,8 +66,6 @@ func newBackend(t testing.TB, workers int) (testBackend, func()) {
 		g := mxtask.NewGroup(mxtask.Config{
 			Workers:          workers,
 			PrefetchDistance: 2,
-			EpochPolicy:      epoch.Batched,
-			EpochInterval:    -1,
 		}, n)
 		g.Start()
 		if testPaged() {
@@ -86,8 +81,6 @@ func newBackend(t testing.TB, workers int) (testBackend, func()) {
 	rt := mxtask.New(mxtask.Config{
 		Workers:          workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	})
 	rt.Start()
 	if testPaged() {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mxtasking/internal/blinktree"
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/pager"
 )
@@ -22,8 +21,6 @@ func newPagedStore(t testing.TB, workers int, cfg PagedConfig) (*Store, func()) 
 	rt := mxtask.New(mxtask.Config{
 		Workers:          workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	})
 	rt.Start()
 	s, err := NewPaged(rt, cfg)
@@ -40,8 +37,6 @@ func newPagedShardedN(t testing.TB, n, workers int, cfg PagedConfig) (*Sharded, 
 	g := mxtask.NewGroup(mxtask.Config{
 		Workers:          workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	}, n)
 	g.Start()
 	s, err := NewShardedPaged(g.Runtimes(), cfg)

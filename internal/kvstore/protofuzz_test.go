@@ -37,7 +37,7 @@ func FuzzServerProtocol(f *testing.F) {
 		f.Add(seed)
 	}
 
-	rt := mxtask.New(mxtask.Config{Workers: 2, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 2})
 	rt.Start()
 	f.Cleanup(rt.Stop)
 	srv, err := NewServer(New(rt), "127.0.0.1:0")

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mxtasking/internal/blinktree"
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 )
 
@@ -19,8 +18,6 @@ func newShardedN(t testing.TB, n, workers int) (*Sharded, func()) {
 	g := mxtask.NewGroup(mxtask.Config{
 		Workers:          workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	}, n)
 	g.Start()
 	return NewSharded(g.Runtimes()), g.Stop

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/faultfs"
 	"mxtasking/internal/mxtask"
 	"mxtasking/internal/wal"
@@ -155,8 +154,6 @@ func newStealingShardedN(t testing.TB, n, workers int) (*Sharded, *mxtask.Group,
 	g := mxtask.NewGroup(mxtask.Config{
 		Workers:          workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 		Steal: mxtask.StealConfig{
 			Enabled:    true,
 			MinBacklog: 2,

@@ -21,7 +21,7 @@ func feedWindow(w *Worker, rate float64) {
 // decrease — even 1% measurement jitter — flipped the direction, leaving
 // the climber permanently oscillating ±1 around the optimum.
 func TestAdaptObserveDeadband(t *testing.T) {
-	rt := New(Config{Workers: 1, PrefetchDistance: 4, AdaptivePrefetch: true, EpochInterval: -1})
+	rt := New(Config{Workers: 1, PrefetchDistance: 4, AdaptivePrefetch: true})
 	w := rt.workers[0]
 
 	feedWindow(w, 1000) // baseline window; initializes dist=4, dir=+1
@@ -46,7 +46,7 @@ func TestAdaptObserveDeadband(t *testing.T) {
 // TestAdaptObserveStillClimbs sanity-checks that the deadband did not kill
 // the climber: improving rates keep walking the distance up to its clamp.
 func TestAdaptObserveStillClimbs(t *testing.T) {
-	rt := New(Config{Workers: 1, PrefetchDistance: 4, AdaptivePrefetch: true, EpochInterval: -1})
+	rt := New(Config{Workers: 1, PrefetchDistance: 4, AdaptivePrefetch: true})
 	w := rt.workers[0]
 	rate := 1000.0
 	for i := 0; i < 3; i++ {
@@ -65,8 +65,8 @@ func TestAdaptObserveStillClimbs(t *testing.T) {
 // pre-fix it polluted (and even initialized) the thief's adaptive
 // distance.
 func TestStolenBatchSkipsAdaptObserve(t *testing.T) {
-	thiefRT := New(Config{Workers: 1, PrefetchDistance: 2, AdaptivePrefetch: true, EpochInterval: -1})
-	victimRT := New(Config{Workers: 1, PrefetchDistance: 2, EpochInterval: -1})
+	thiefRT := New(Config{Workers: 1, PrefetchDistance: 2, AdaptivePrefetch: true})
+	victimRT := New(Config{Workers: 1, PrefetchDistance: 2})
 	thief := thiefRT.workers[0]
 
 	nop := func(*Context, *Task) {}

@@ -62,14 +62,3 @@ func (c *Context) Spawn(t *Task) {
 	}
 	home.schedule(t, hint)
 }
-
-// Retire registers free to run once no task can still hold an optimistic
-// reference to a logically removed object (§4.4). Inside an optimistic
-// read, the retire is buffered like Spawn.
-func (c *Context) Retire(free func()) {
-	if c.w.buffering {
-		c.w.retireBuf = append(c.w.retireBuf, free)
-		return
-	}
-	c.w.epoch.Retire(free)
-}

@@ -3,14 +3,13 @@ package mxtask_test
 import (
 	"fmt"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/mxtask"
 )
 
 // The paper's Figure 2 in Go: create an annotated resource, spawn
 // annotated tasks, let the runtime inject the synchronization.
 func Example() {
-	rt := mxtask.New(mxtask.Config{Workers: 2, EpochPolicy: epoch.Batched, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 2})
 	rt.Start()
 	defer rt.Stop()
 
@@ -34,7 +33,7 @@ func Example() {
 // Tasks spawn follow-up tasks; the runtime recycles their memory through
 // the core heap, so steady-state task creation does not allocate.
 func ExampleContext_NewTask() {
-	rt := mxtask.New(mxtask.Config{Workers: 1, EpochPolicy: epoch.Off, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 1})
 	rt.Start()
 	defer rt.Stop()
 
@@ -56,7 +55,7 @@ func ExampleContext_NewTask() {
 // Barriers realize task dependencies (§4.1): dependent tasks are withheld
 // until every producer arrived.
 func ExampleBarrier() {
-	rt := mxtask.New(mxtask.Config{Workers: 2, EpochPolicy: epoch.Off, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 2})
 	rt.Start()
 	defer rt.Stop()
 

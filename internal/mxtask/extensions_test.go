@@ -3,17 +3,13 @@ package mxtask
 import (
 	"sync/atomic"
 	"testing"
-
-	"mxtasking/internal/epoch"
 )
 
 func TestPanicContainment(t *testing.T) {
 	var caught atomic.Int64
 	var lastMsg atomic.Value
 	rt := New(Config{
-		Workers:       2,
-		EpochPolicy:   epoch.Off,
-		EpochInterval: -1,
+		Workers: 2,
 		OnTaskPanic: func(r any, _ *Task) {
 			caught.Add(1)
 			lastMsg.Store(r)
@@ -52,10 +48,8 @@ func TestPanicContainment(t *testing.T) {
 func TestPanicInOptimisticReadIsContained(t *testing.T) {
 	var caught atomic.Int64
 	rt := New(Config{
-		Workers:       1,
-		EpochPolicy:   epoch.Off,
-		EpochInterval: -1,
-		OnTaskPanic:   func(any, *Task) { caught.Add(1) },
+		Workers:     1,
+		OnTaskPanic: func(any, *Task) { caught.Add(1) },
 	})
 	res := rt.CreateResource(nil, 0, IsolationExclusiveWriteSharedRead, RWWriteHeavy, FrequencyLow)
 	rt.Start()
@@ -82,8 +76,6 @@ func TestAdaptivePrefetchStaysInBounds(t *testing.T) {
 		Workers:          1,
 		PrefetchDistance: 2,
 		AdaptivePrefetch: true,
-		EpochPolicy:      epoch.Off,
-		EpochInterval:    -1,
 	})
 	obj := &touchable{buf: make([]byte, 1024)}
 	res := rt.CreateResource(obj, 1024, IsolationNone, RWReadHeavy, FrequencyHigh)
@@ -110,7 +102,7 @@ func TestAdaptivePrefetchStaysInBounds(t *testing.T) {
 }
 
 func TestAdaptivePrefetchDisabledKeepsConfig(t *testing.T) {
-	rt := New(Config{Workers: 1, PrefetchDistance: 3, EpochInterval: -1})
+	rt := New(Config{Workers: 1, PrefetchDistance: 3})
 	if got := rt.workers[0].PrefetchDistance(); got != 3 {
 		t.Fatalf("distance = %d, want configured 3", got)
 	}
@@ -121,8 +113,6 @@ func TestTracerRecordsEvents(t *testing.T) {
 		Workers:          2,
 		PrefetchDistance: 2,
 		TraceCapacity:    256,
-		EpochPolicy:      epoch.Off,
-		EpochInterval:    -1,
 	})
 	obj := &touchable{buf: make([]byte, 128)}
 	res := rt.CreateResource(obj, 128, IsolationNone, RWReadHeavy, FrequencyHigh)

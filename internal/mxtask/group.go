@@ -1,10 +1,6 @@
 package mxtask
 
-import (
-	"sync/atomic"
-
-	"mxtasking/internal/epoch"
-)
+import "sync/atomic"
 
 // Group is a set of runtimes, one per simulated NUMA node — the execution
 // substrate for sharded applications that keep a partition's data, task
@@ -20,9 +16,7 @@ import (
 // consume latch, so the at-most-one-executor invariant holds across
 // runtime boundaries exactly as it does within one. Tasks bound to an
 // exclusive resource or carrying a core/NUMA locality annotation are never
-// stolen. Stealing members share one epoch manager — a thief inside a
-// victim's data structure must hold reclamation back the same way the
-// victim's own workers do.
+// stolen.
 //
 // Workers are divided as evenly as possible across the nodes (the first
 // Workers mod nodes runtimes get one extra), and every member runs with
@@ -89,39 +83,20 @@ func NewGroup(cfg Config, nodes int) *Group {
 		}
 		total += counts[i]
 	}
-	var shared *epoch.Manager
-	if cfg.Steal.Enabled {
-		shared = epoch.NewManager(total, cfg.EpochPolicy, cfg.EpochBatch)
-	}
-	offset := 0
 	for i := range g.rts {
 		c := cfg
 		c.Workers = counts[i]
 		c.NUMANodes = 1
-		if shared != nil {
-			c.sharedEpoch = shared
-			c.epochOffset = offset
-			if i > 0 && c.EpochInterval > 0 {
-				// One epoch clock per shared manager: member 0's
-				// ticker advances everyone.
-				c.EpochInterval = -1
-			}
-			if c.Steal.SparePools == 0 {
-				// Default spare pools: enough extra consume latches
-				// that the whole group's workers could drain this
-				// member concurrently, capped at 8.
-				sp := total - counts[i]
-				if sp > 8 {
-					sp = 8
-				}
-				c.Steal.SparePools = sp
-			}
+		if cfg.Steal.Enabled && c.Steal.SparePools == 0 {
+			// Default spare pools: enough extra consume latches that
+			// the whole group's workers could drain this member
+			// concurrently, capped at 8.
+			c.Steal.SparePools = min(total-counts[i], 8)
 		}
 		rt := New(c)
 		rt.group = g
 		rt.node = i
 		g.rts[i] = rt
-		offset += counts[i]
 	}
 	return g
 }

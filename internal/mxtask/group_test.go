@@ -3,8 +3,6 @@ package mxtask
 import (
 	"sync/atomic"
 	"testing"
-
-	"mxtasking/internal/epoch"
 )
 
 // A group splits the worker budget across nodes, floors at one worker per
@@ -22,7 +20,7 @@ func TestGroupWorkerSplit(t *testing.T) {
 		{3, 0, []int{3}}, // nodes < 1 coerced to 1
 	}
 	for _, tc := range cases {
-		g := NewGroup(Config{Workers: tc.workers, EpochInterval: -1}, tc.nodes)
+		g := NewGroup(Config{Workers: tc.workers}, tc.nodes)
 		if g.Size() != len(tc.want) {
 			t.Fatalf("NewGroup(%d workers, %d nodes).Size() = %d, want %d",
 				tc.workers, tc.nodes, g.Size(), len(tc.want))
@@ -65,7 +63,7 @@ func runGroupToCompletion(t *testing.T, g *Group) {
 // Fewer workers than nodes: every member still gets one worker, and every
 // member still executes and drains its tasks.
 func TestGroupFewerWorkersThanNodes(t *testing.T) {
-	g := NewGroup(Config{Workers: 2, EpochPolicy: epoch.Batched, EpochInterval: -1}, 4)
+	g := NewGroup(Config{Workers: 2}, 4)
 	g.Start()
 	defer g.Stop()
 	if g.Size() != 4 {
@@ -82,7 +80,7 @@ func TestGroupFewerWorkersThanNodes(t *testing.T) {
 // A worker count not divisible by the node count: the uneven split (3/2/2
 // here) must be fully functional, not just arithmetically right.
 func TestGroupUnevenSplitRuns(t *testing.T) {
-	g := NewGroup(Config{Workers: 7, EpochPolicy: epoch.Batched, EpochInterval: -1}, 3)
+	g := NewGroup(Config{Workers: 7}, 3)
 	g.Start()
 	defer g.Stop()
 	total := 0
@@ -98,7 +96,7 @@ func TestGroupUnevenSplitRuns(t *testing.T) {
 // The single-node degenerate group is just one runtime wearing a group
 // hat: full worker budget, one member, normal spawn/drain semantics.
 func TestGroupSingleNodeDegenerate(t *testing.T) {
-	g := NewGroup(Config{Workers: 4, EpochPolicy: epoch.Batched, EpochInterval: -1}, 1)
+	g := NewGroup(Config{Workers: 4}, 1)
 	g.Start()
 	defer g.Stop()
 	if g.Size() != 1 {
@@ -116,7 +114,7 @@ func TestGroupSingleNodeDegenerate(t *testing.T) {
 // Tasks spawned on each member execute on that member; Drain covers all of
 // them.
 func TestGroupStartStopDrain(t *testing.T) {
-	g := NewGroup(Config{Workers: 4, EpochPolicy: epoch.Batched, EpochInterval: -1}, 2)
+	g := NewGroup(Config{Workers: 4}, 2)
 	g.Start()
 	defer g.Stop()
 

@@ -18,8 +18,8 @@ func processCPU(t *testing.T) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// TestIdleRuntimeUsesNoCPU: a started 2-worker runtime with its epoch
-// clock running, left idle for 200 ms, must use under 3 ms of process CPU.
+// TestIdleRuntimeUsesNoCPU: a started 2-worker runtime, left idle for
+// 200 ms, must use under 3 ms of process CPU.
 // Idle workers block on the wake token; a polling or sleeping loop burns
 // CPU on every round it finds nothing. On a 2-vCPU x86-64 host the parked
 // runtime reads 0.1–0.2 ms, the Gosched-then-sleep(200 µs) loop it

@@ -93,7 +93,7 @@ func stopsWithin(t *testing.T, d time.Duration, stop func()) {
 // TestStopBoundedWhileParked: Stop must reach workers blocked on the wake
 // token. The package's TestMain then checks no worker goroutine survived.
 func TestStopBoundedWhileParked(t *testing.T) {
-	rt := New(Config{Workers: 4}) // epoch clock running, as in production
+	rt := New(Config{Workers: 4})
 	rt.Start()
 	rt.Spawn(rt.NewTask(func(*Context, *Task) {}, nil))
 	rt.Drain()

@@ -8,8 +8,7 @@ import (
 )
 
 // TestMain guards the whole suite against goroutine leaks: every worker
-// and epoch clock a test starts, parked or not, must be gone once the
-// tests pass. See internal/testleak.
+// a test starts, parked or not, must be gone once the tests pass. See internal/testleak.
 func TestMain(m *testing.M) {
 	os.Exit(testleak.Main(m))
 }

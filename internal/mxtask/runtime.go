@@ -5,10 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mxtasking/internal/alloc"
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/prefetch"
 )
 
@@ -24,15 +22,10 @@ type Config struct {
 	// data objects (§3; the paper found 2 best on its hardware). 0
 	// disables prefetching.
 	PrefetchDistance int
-	// EpochPolicy selects the memory-reclamation mode (§4.4).
-	// Defaults to epoch.Batched.
-	EpochPolicy epoch.Policy
-	// EpochBatch is the Batched policy's advancement batch (default 50).
-	EpochBatch int
-	// EpochInterval is the global epoch clock period (default 50ms,
-	// following §4.4). Set negative to disable the ticker (tests and the
-	// simulator advance epochs manually via AdvanceEpoch).
-	EpochInterval time.Duration
+	// EpochPolicy is ignored: Go's garbage collector is the reclamation
+	// scheme; kept only because benchmark/sut.go sets it (to an
+	// epoch.Policy, which this package does not import).
+	EpochPolicy any
 	// PinWorkers locks each worker goroutine to an OS thread,
 	// the closest available analogue to CPU pinning.
 	PinWorkers bool
@@ -53,13 +46,6 @@ type Config struct {
 	// as members of a Group (DESIGN.md §7). It has no effect on a
 	// standalone Runtime.
 	Steal StealConfig
-
-	// sharedEpoch, when set by NewGroup, replaces the runtime's private
-	// epoch manager so retired objects survive until cross-runtime
-	// thieves have left their critical sections too; epochOffset is this
-	// member's first worker slot in the shared manager.
-	sharedEpoch *epoch.Manager
-	epochOffset int
 }
 
 // StealConfig parameterizes cross-runtime pool stealing within a Group:
@@ -106,25 +92,18 @@ func (c *Config) applyDefaults() {
 	if c.NUMANodes <= 0 {
 		c.NUMANodes = 1
 	}
-	if c.EpochBatch <= 0 {
-		c.EpochBatch = epoch.DefaultBatchSize
-	}
-	if c.EpochInterval == 0 {
-		c.EpochInterval = 50 * time.Millisecond
-	}
 	c.Steal.applyDefaults()
 }
 
-// Runtime is the MxTasking engine: a set of workers, their task pools, the
-// epoch manager and the task allocator. It mediates between the task-based
-// execution model and Go's scheduler the way the paper's library mediates
-// between tasks and OS threads (§2.3).
+// Runtime is the MxTasking engine: a set of workers, their task pools and
+// the task allocator. It mediates between the task-based execution model
+// and Go's scheduler the way the paper's library mediates between tasks
+// and OS threads (§2.3).
 type Runtime struct {
-	cfg      Config
-	workers  []*Worker
-	pools    []*Pool // per-worker pools first, then spare pools
-	epochMgr *epoch.Manager
-	alloc    *alloc.Allocator
+	cfg     Config
+	workers []*Worker
+	pools   []*Pool // per-worker pools first, then spare pools
+	alloc   *alloc.Allocator
 
 	group *Group // stealing group this runtime belongs to, or nil
 	node  int    // this runtime's index within group
@@ -152,26 +131,22 @@ type Runtime struct {
 	_      [56]byte
 	wake   chan struct{}
 
-	spawnRR  atomic.Uint64
-	resRR    atomic.Uint64
-	stopped  atomic.Bool
-	started  atomic.Bool
-	wg       sync.WaitGroup
-	stopTick chan struct{}
+	spawnRR atomic.Uint64
+	resRR   atomic.Uint64
+	stopped atomic.Bool
+	started atomic.Bool
+	wg      sync.WaitGroup
+	stop    chan struct{} // closed by Stop; wakes parked workers
 }
 
 // New creates a runtime. Call Start before spawning tasks.
 func New(cfg Config) *Runtime {
 	cfg.applyDefaults()
 	rt := &Runtime{
-		cfg:      cfg,
-		epochMgr: cfg.sharedEpoch,
-		alloc:    alloc.New(cfg.Workers, cfg.NUMANodes),
-		stopTick: make(chan struct{}),
-		wake:     make(chan struct{}, cfg.Workers),
-	}
-	if rt.epochMgr == nil {
-		rt.epochMgr = epoch.NewManager(cfg.Workers, cfg.EpochPolicy, cfg.EpochBatch)
+		cfg:   cfg,
+		alloc: alloc.New(cfg.Workers, cfg.NUMANodes),
+		stop:  make(chan struct{}),
+		wake:  make(chan struct{}, cfg.Workers),
 	}
 	spares := 0
 	if cfg.Steal.Enabled && cfg.Steal.SparePools > 0 {
@@ -197,7 +172,6 @@ func New(cfg Config) *Runtime {
 			numa:  node,
 			rt:    rt,
 			pool:  rt.pools[i],
-			epoch: rt.epochMgr.Worker(cfg.epochOffset + i),
 			heap:  rt.alloc.Core(i),
 			trace: newTracer(cfg.TraceCapacity),
 		}
@@ -238,7 +212,7 @@ func (rt *Runtime) Workers() int { return rt.cfg.Workers }
 // Config returns the runtime's effective configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// Start launches the worker goroutines and the epoch clock.
+// Start launches the worker goroutines.
 func (rt *Runtime) Start() {
 	if rt.started.Swap(true) {
 		panic("mxtask: Runtime started twice")
@@ -246,34 +220,6 @@ func (rt *Runtime) Start() {
 	for _, w := range rt.workers {
 		rt.wg.Add(1)
 		go w.run()
-	}
-	if rt.cfg.EpochInterval > 0 && rt.cfg.EpochPolicy != epoch.Off {
-		rt.wg.Add(1)
-		go rt.epochClock()
-	}
-}
-
-func (rt *Runtime) epochClock() {
-	defer rt.wg.Done()
-	ticker := time.NewTicker(rt.cfg.EpochInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-rt.stopTick:
-			return
-		case <-ticker.C:
-			rt.AdvanceEpoch()
-		}
-	}
-}
-
-// AdvanceEpoch advances the global epoch (the ticker calls it; tests and
-// harnesses that disabled the ticker call it by hand). Parked workers are
-// woken so they collect what the advance made reclaimable.
-func (rt *Runtime) AdvanceEpoch() {
-	rt.epochMgr.Advance()
-	for i := rt.parked.Load(); i > 0; i-- {
-		rt.signal()
 	}
 }
 
@@ -284,7 +230,7 @@ func (rt *Runtime) Stop() {
 	if !rt.started.Load() || rt.stopped.Swap(true) {
 		return
 	}
-	close(rt.stopTick)
+	close(rt.stop)
 	rt.wg.Wait()
 }
 
@@ -455,11 +401,8 @@ func (rt *Runtime) Stats() WorkerStats {
 // AllocStats exposes the task allocator's counters (Figure 7's experiment).
 func (rt *Runtime) AllocStats() *alloc.Stats { return &rt.alloc.Stats }
 
-// EpochManager exposes the reclamation manager (Figure 11's experiment).
-func (rt *Runtime) EpochManager() *epoch.Manager { return rt.epochMgr }
-
 // String describes the runtime configuration.
 func (rt *Runtime) String() string {
-	return fmt.Sprintf("mxtasking(workers=%d numa=%d prefetch=%d epoch=%s)",
-		rt.cfg.Workers, rt.cfg.NUMANodes, rt.cfg.PrefetchDistance, rt.cfg.EpochPolicy)
+	return fmt.Sprintf("mxtasking(workers=%d numa=%d prefetch=%d)",
+		rt.cfg.Workers, rt.cfg.NUMANodes, rt.cfg.PrefetchDistance)
 }

@@ -3,16 +3,11 @@ package mxtask
 import (
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"mxtasking/internal/epoch"
 )
 
 func newTestRuntime(workers int) *Runtime {
 	return New(Config{
-		Workers:       workers,
-		EpochPolicy:   epoch.Batched,
-		EpochInterval: -1, // manual epoch control in tests
+		Workers: workers,
 	})
 }
 
@@ -203,7 +198,7 @@ func TestCoreAnnotationPinsTask(t *testing.T) {
 }
 
 func TestNUMAAnnotationStaysInNode(t *testing.T) {
-	rt := New(Config{Workers: 4, NUMANodes: 2, EpochInterval: -1})
+	rt := New(Config{Workers: 4, NUMANodes: 2})
 	// Workers 0,1 -> node 0; workers 2,3 -> node 1.
 	task := rt.NewTask(func(*Context, *Task) {}, nil)
 	task.AnnotateNUMA(1)
@@ -235,39 +230,6 @@ func TestTaskRecycling(t *testing.T) {
 	hits := rt.AllocStats().CoreHits.Load()
 	if hits < 1900 {
 		t.Fatalf("core-heap hits = %d, want ~2000 (tasks are not being recycled)", hits)
-	}
-}
-
-func TestEpochRetireAndCollect(t *testing.T) {
-	rt := newTestRuntime(1)
-	rt.Start()
-	defer rt.Stop()
-
-	var freed atomic.Int64
-	task := rt.NewTask(func(ctx *Context, _ *Task) {
-		ctx.Retire(func() { freed.Add(1) })
-	}, nil)
-	rt.Spawn(task)
-	rt.Drain()
-	if freed.Load() != 0 {
-		t.Fatal("retiree freed before epoch advanced")
-	}
-	rt.AdvanceEpoch()
-	// Trigger worker activity so Collect runs.
-	rt.Spawn(rt.NewTask(func(*Context, *Task) {}, nil))
-	rt.Drain()
-	rt.AdvanceEpoch()
-	rt.Spawn(rt.NewTask(func(*Context, *Task) {}, nil))
-	rt.Drain()
-	deadline := 0
-	for freed.Load() == 0 && deadline < 1000 {
-		rt.AdvanceEpoch()
-		rt.Spawn(rt.NewTask(func(*Context, *Task) {}, nil))
-		rt.Drain()
-		deadline++
-	}
-	if freed.Load() != 1 {
-		t.Fatalf("retiree freed %d times, want 1", freed.Load())
 	}
 }
 
@@ -331,7 +293,7 @@ func (p *touchable) Prefetch() {
 }
 
 func TestPrefetchIssued(t *testing.T) {
-	rt := New(Config{Workers: 1, PrefetchDistance: 2, EpochInterval: -1})
+	rt := New(Config{Workers: 1, PrefetchDistance: 2})
 	obj := &touchable{buf: make([]byte, 1024)}
 	res := rt.CreateResource(obj, 1024, IsolationNone, RWReadHeavy, FrequencyHigh)
 	// Queue enough tasks before starting so the first batch has lookahead.
@@ -353,7 +315,7 @@ func TestPrefetchIssued(t *testing.T) {
 }
 
 func TestPrefetchDisabled(t *testing.T) {
-	rt := New(Config{Workers: 1, PrefetchDistance: 0, EpochInterval: -1})
+	rt := New(Config{Workers: 1, PrefetchDistance: 0})
 	obj := &touchable{buf: make([]byte, 64)}
 	res := rt.CreateResource(obj, 64, IsolationNone, RWReadHeavy, FrequencyHigh)
 	for i := 0; i < 20; i++ {
@@ -403,14 +365,24 @@ func TestOptimisticReadSpawnsOnceDespiteRetry(t *testing.T) {
 	// body 1 + ReadRetries times but publishes exactly one follower —
 	// spawns inside optimistic reads are buffered until validation
 	// succeeds.
+	//
+	// It also pins why task recycling needs no epochs: a task block is
+	// freed only by the worker that owns it — the one that executed it,
+	// or the spawner discarding its own unpublished spawnBuf — so no
+	// other worker can hold it. The discarded follower's block goes back
+	// to the core heap, which is LIFO, and the validated run's spawn gets
+	// that same block.
 	rt := newTestRuntime(1)
 	res := rt.CreateResource(nil, 0, IsolationExclusiveWriteSharedRead, RWWriteHeavy, FrequencyLow)
 	rt.Start()
 	defer rt.Stop()
 
 	var followers, bodyRuns atomic.Int64
+	var spawned []*Task // one follower per body run; only the worker appends
 	task := rt.NewTask(func(ctx *Context, _ *Task) {
-		ctx.Spawn(ctx.NewTask(func(*Context, *Task) { followers.Add(1) }, nil))
+		f := ctx.NewTask(func(*Context, *Task) { followers.Add(1) }, nil)
+		spawned = append(spawned, f)
+		ctx.Spawn(f)
 		if bodyRuns.Add(1) == 1 {
 			res.version.Lock()
 			res.version.Unlock() // invalidate the in-flight read
@@ -429,18 +401,19 @@ func TestOptimisticReadSpawnsOnceDespiteRetry(t *testing.T) {
 	if got := followers.Load(); got != 1 {
 		t.Fatalf("follower ran %d times, want exactly 1 (buffered spawn leaked)", got)
 	}
+	if len(spawned) != 2 || spawned[0] != spawned[1] {
+		t.Fatalf("validated run's follower %p is not the discarded run's recycled block %p",
+			spawned[len(spawned)-1], spawned[0])
+	}
 }
 
 func TestAccessorsAndStrings(t *testing.T) {
-	rt := New(Config{Workers: 3, NUMANodes: 1, EpochInterval: -1})
+	rt := New(Config{Workers: 3, NUMANodes: 1})
 	if rt.Workers() != 3 {
 		t.Fatal("Workers accessor wrong")
 	}
 	if rt.Config().Workers != 3 {
 		t.Fatal("Config accessor wrong")
-	}
-	if rt.EpochManager() == nil {
-		t.Fatal("EpochManager accessor nil")
 	}
 	res := rt.CreateResource(nil, 64, IsolationExclusiveWriteSharedRead, RWReadHeavy, FrequencyHigh)
 	if res.Isolation() != IsolationExclusiveWriteSharedRead ||
@@ -462,7 +435,7 @@ func TestAccessorsAndStrings(t *testing.T) {
 		IsolationNone.String(), FrequencyLow.String(), RWBalanced.String(),
 		PrimNone.String(), PrimSerialize.String(), PrimOptimisticLatch.String(),
 		PrimRWLock.String(), PriorityNormal.String(), FrequencyNormal.String(),
-		TraceKind(9).String(), TraceSteal.String(), TraceCollect.String(),
+		TraceKind(9).String(), TraceSteal.String(), TraceGroupSteal.String(),
 	} {
 		if s == "" {
 			t.Fatal("empty enum string")
@@ -470,22 +443,8 @@ func TestAccessorsAndStrings(t *testing.T) {
 	}
 }
 
-func TestEpochClockTicks(t *testing.T) {
-	rt := New(Config{Workers: 1, EpochPolicy: epoch.Batched, EpochInterval: time.Millisecond})
-	rt.Start()
-	start := rt.EpochManager().Global()
-	deadline := time.Now().Add(2 * time.Second)
-	for rt.EpochManager().Global() == start && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	rt.Stop()
-	if rt.EpochManager().Global() == start {
-		t.Fatal("epoch clock never advanced")
-	}
-}
-
 func TestContextNUMANode(t *testing.T) {
-	rt := New(Config{Workers: 2, NUMANodes: 2, EpochInterval: -1})
+	rt := New(Config{Workers: 2, NUMANodes: 2})
 	rt.Start()
 	defer rt.Stop()
 	got := make(chan int, 1)

@@ -4,12 +4,10 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"mxtasking/internal/epoch"
 )
 
 func TestExternalSpawnsSpreadRoundRobin(t *testing.T) {
-	rt := New(Config{Workers: 4, EpochInterval: -1})
+	rt := New(Config{Workers: 4})
 	for i := 0; i < 40; i++ {
 		rt.Spawn(rt.NewTask(func(*Context, *Task) {}, nil))
 	}
@@ -24,7 +22,7 @@ func TestExternalSpawnsSpreadRoundRobin(t *testing.T) {
 }
 
 func TestResourcePoolsSpreadRoundRobin(t *testing.T) {
-	rt := New(Config{Workers: 4, EpochInterval: -1})
+	rt := New(Config{Workers: 4})
 	counts := make([]int, 4)
 	for i := 0; i < 40; i++ {
 		res := rt.CreateResource(nil, 0, IsolationExclusive, RWBalanced, FrequencyNormal)
@@ -38,7 +36,7 @@ func TestResourcePoolsSpreadRoundRobin(t *testing.T) {
 }
 
 func TestPickInNUMAPrefersLeastLoaded(t *testing.T) {
-	rt := New(Config{Workers: 4, NUMANodes: 2, EpochInterval: -1})
+	rt := New(Config{Workers: 4, NUMANodes: 2})
 	// Preload worker 2's pool so NUMA-1 placement prefers worker 3.
 	for i := 0; i < 5; i++ {
 		task := rt.NewTask(func(*Context, *Task) {}, nil)
@@ -57,7 +55,7 @@ func TestPickInNUMAPrefersLeastLoaded(t *testing.T) {
 }
 
 func TestStopDropsQueuedWork(t *testing.T) {
-	rt := New(Config{Workers: 1, EpochInterval: -1})
+	rt := New(Config{Workers: 1})
 	var ran atomic.Int64
 	rt.Start()
 	// Flood, then stop without draining: the runtime must terminate even
@@ -77,7 +75,7 @@ func TestStopDropsQueuedWork(t *testing.T) {
 }
 
 func TestSpawnNilFuncPanics(t *testing.T) {
-	rt := New(Config{Workers: 1, EpochInterval: -1})
+	rt := New(Config{Workers: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Spawn of a nil-func task did not panic")
@@ -90,7 +88,7 @@ func TestMultipleExclusiveResourcesInterleave(t *testing.T) {
 	// Several independently-serialized counters updated concurrently:
 	// each must be exact, and they must not serialize against each other
 	// globally (they may land in different pools).
-	rt := New(Config{Workers: 4, EpochPolicy: epoch.Off, EpochInterval: -1})
+	rt := New(Config{Workers: 4})
 	rt.Start()
 	defer rt.Stop()
 
@@ -123,14 +121,14 @@ func TestMultipleExclusiveResourcesInterleave(t *testing.T) {
 }
 
 func TestRuntimeString(t *testing.T) {
-	rt := New(Config{Workers: 3, NUMANodes: 1, PrefetchDistance: 2, EpochInterval: -1})
+	rt := New(Config{Workers: 3, NUMANodes: 1, PrefetchDistance: 2})
 	if s := rt.String(); s == "" {
 		t.Fatal("String() empty")
 	}
 }
 
 func TestWorkerAccessors(t *testing.T) {
-	rt := New(Config{Workers: 4, NUMANodes: 2, EpochInterval: -1})
+	rt := New(Config{Workers: 4, NUMANodes: 2})
 	if rt.workers[0].ID() != 0 || rt.workers[3].ID() != 3 {
 		t.Fatal("worker IDs wrong")
 	}
@@ -162,7 +160,7 @@ func TestSchedulerRoutingMatrix(t *testing.T) {
 		{PrimRWLock, Write, false},
 	}
 	for _, c := range cases {
-		rt := New(Config{Workers: 4, EpochInterval: -1})
+		rt := New(Config{Workers: 4})
 		res := rt.CreateResource(nil, 0, IsolationNone, RWBalanced, FrequencyNormal)
 		res.ForcePrimitive(c.prim)
 		// Force the resource pool somewhere that is NOT the local

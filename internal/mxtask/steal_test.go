@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"mxtasking/internal/epoch"
 )
 
 // yield hands the OS thread over between task executions. On hosts with
@@ -23,12 +21,10 @@ func yield() { runtime.Gosched() }
 
 // newStealGroup builds a stealing group tuned for tests: a low backlog
 // threshold and a single-round idle gate so steals happen fast even on
-// small workloads, and a manual epoch clock so tests control reclamation.
+// small workloads.
 func newStealGroup(workers, nodes int) *Group {
 	return NewGroup(Config{
-		Workers:       workers,
-		EpochPolicy:   epoch.Batched,
-		EpochInterval: -1,
+		Workers: workers,
 		Steal: StealConfig{
 			Enabled:    true,
 			MinBacklog: 2,
@@ -421,46 +417,12 @@ func TestGroupStealPendingAccounting(t *testing.T) {
 	}
 }
 
-// TestGroupSharedEpoch checks reclamation across the stealing boundary:
-// retires issued while thieves roam must all run after the epoch advances
-// past every member's workers (the group shares one epoch manager).
-func TestGroupSharedEpoch(t *testing.T) {
-	g := newStealGroup(4, 2)
-	if g.Runtime(0).EpochManager() != g.Runtime(1).EpochManager() {
-		t.Fatal("stealing group members must share one epoch manager")
-	}
-	g.Start()
-	defer g.Stop()
-	hot := g.Runtime(0)
-	var freed atomic.Int64
-	const tasks = 3000
-	for i := 0; i < tasks; i++ {
-		hot.Spawn(hot.NewTask(func(ctx *Context, t *Task) {
-			ctx.Retire(func() { freed.Add(1) })
-			yield()
-		}, nil))
-	}
-	g.Drain()
-	deadline := time.Now().Add(10 * time.Second)
-	for freed.Load() < tasks {
-		hot.AdvanceEpoch() // shared manager: advances every member
-		// Idle workers call epoch.Idle + Collect on their own; give
-		// them a moment between advances.
-		time.Sleep(time.Millisecond)
-		if time.Now().After(deadline) {
-			t.Fatalf("freed %d/%d after epoch advances", freed.Load(), tasks)
-		}
-	}
-}
-
 // TestGroupStealDisabledNoCrossExecution pins down the default: a group
 // built without Steal.Enabled never executes a task off its home runtime
 // and reports zero stealing activity.
 func TestGroupStealDisabledNoCrossExecution(t *testing.T) {
 	g := NewGroup(Config{
-		Workers:       4,
-		EpochPolicy:   epoch.Batched,
-		EpochInterval: -1,
+		Workers: 4,
 	}, 4)
 	g.Start()
 	defer g.Stop()
@@ -504,7 +466,7 @@ func TestGroupStealSpareRouting(t *testing.T) {
 	if len(seen) != rt.Pools() {
 		t.Fatalf("resource RR covered %d of %d pools", len(seen), rt.Pools())
 	}
-	plain := New(Config{Workers: 2, EpochInterval: -1})
+	plain := New(Config{Workers: 2})
 	if plain.Pools() != plain.Workers() {
 		t.Fatalf("standalone runtime has %d pools for %d workers",
 			plain.Pools(), plain.Workers())

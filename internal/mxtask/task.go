@@ -65,8 +65,8 @@ func (t *Task) reset(fn Func, arg any) {
 // restartable: the worker runs the body, validates the resource's version,
 // and runs the body again — counted in Stats.ReadRetries — for as long as a
 // write landed in between (Fig. 5 line 16), so the body executes
-// 1 + retries times. Only the validated run's Context.Spawn and
-// Context.Retire calls take effect; they are buffered and published once.
+// 1 + retries times. Only the validated run's Context.Spawn calls take
+// effect; they are buffered and published once.
 // Every other side effect of the body happens once per run, so the body
 // may only read the resource, overwrite its own outputs idempotently, and
 // hand anything that must happen exactly once to a task it spawns.

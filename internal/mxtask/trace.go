@@ -16,8 +16,6 @@ const (
 	// TracePrefetch: a data-object prefetch was issued (Info: resource
 	// pool of the prefetched object).
 	TracePrefetch
-	// TraceCollect: epoch reclamation freed objects (Info: count).
-	TraceCollect
 	// TraceGroupSteal: the worker drained a pool of a sibling runtime in
 	// its Group (Info: victim node).
 	TraceGroupSteal
@@ -34,8 +32,6 @@ func (k TraceKind) String() string {
 		return "retry"
 	case TracePrefetch:
 		return "prefetch"
-	case TraceCollect:
-		return "collect"
 	case TraceGroupSteal:
 		return "group-steal"
 	default:

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mxtasking/internal/alloc"
-	"mxtasking/internal/epoch"
 )
 
 // batchLimit bounds how many tasks a worker drains from a pool per
@@ -64,7 +63,6 @@ type Worker struct {
 	numa  int
 	rt    *Runtime
 	pool  *Pool
-	epoch *epoch.Worker
 	heap  *alloc.CoreHeap
 	ctx   Context
 	stats workerCounters
@@ -72,7 +70,6 @@ type Worker struct {
 
 	window         []*Task // drained batch, the prefetcher's lookahead horizon
 	holdingOwnPool bool
-	lastEpoch      uint64
 
 	// Cross-runtime stealing state (DESIGN.md §7). While the worker
 	// drains a pool stolen from a sibling runtime, execHome is that
@@ -101,12 +98,11 @@ type Worker struct {
 
 	// Optimistic-read side-effect buffering (the runtime's realization of
 	// Fig. 5 line 16, "reset t — undo all modifications"): while a
-	// read-only task runs under version validation, its spawns and
-	// retires are buffered; a failed validation discards them and the
-	// body re-runs, a successful one publishes them.
+	// read-only task runs under version validation, its spawns are
+	// buffered; a failed validation discards them and the body re-runs,
+	// a successful one publishes them.
 	buffering bool
 	spawnBuf  []*Task
-	retireBuf []func()
 }
 
 // ID returns the worker's logical core number.
@@ -196,12 +192,10 @@ func (w *Worker) run() {
 				did = true
 			}
 		}
-		w.maybeCollect()
 		if did {
 			w.idleStreak = 0
 			continue
 		}
-		w.epoch.Idle()
 		if w.rt.stopped.Load() {
 			return
 		}
@@ -237,9 +231,9 @@ func (w *Worker) run() {
 const parkFallback = 200 * time.Microsecond
 
 // park blocks the worker on the runtime's wake token until a producer
-// pushes a task, the runtime stops, the epoch advances or, for a stealing
-// group member (fallback != nil), parkFallback elapses. The counterpart
-// is Runtime.schedule, whose comment carries the lost-wake-up argument:
+// pushes a task, the runtime stops or, for a stealing group member
+// (fallback != nil), parkFallback elapses. The counterpart is
+// Runtime.schedule, whose comment carries the lost-wake-up argument:
 // parked is raised before the pools are re-read, so a task pushed after
 // the re-read is guaranteed to leave a token.
 func (w *Worker) park(fallback *time.Timer) {
@@ -262,7 +256,7 @@ func (w *Worker) park(fallback *time.Timer) {
 	select {
 	case <-rt.wake:
 		w.idleStreak = 0
-	case <-rt.stopTick:
+	case <-rt.stop:
 	case <-timeout:
 		// idleStreak keeps counting: it is the stealing hysteresis.
 		fallback = nil // fired, nothing left to stop
@@ -491,7 +485,6 @@ func (w *Worker) prefetchFor(t *Task) {
 // execute wraps the task body in the synchronization primitive its resource
 // requires (Figure 5, worker side).
 func (w *Worker) execute(t *Task) {
-	w.epoch.Enter()
 	res := t.res
 	switch {
 	case res == nil || res.prim == PrimNone || res.prim == PrimSerialize:
@@ -527,7 +520,6 @@ func (w *Worker) execute(t *Task) {
 			res.version.Unlock()
 		}
 	}
-	w.epoch.Leave()
 	w.stats.executed.Add(1)
 	w.trace.record(w.id, TraceExecute, uint64(execKind(t)))
 	home := w.homeRT()
@@ -569,7 +561,6 @@ func (w *Worker) optimisticRead(t *Task, res *Resource) {
 		v, ok := res.version.ReadBegin()
 		if ok {
 			w.spawnBuf = w.spawnBuf[:0]
-			w.retireBuf = w.retireBuf[:0]
 			w.invoke(t)
 			if res.version.ReadValidate(v) {
 				break
@@ -599,11 +590,6 @@ func (w *Worker) optimisticRead(t *Task, res *Resource) {
 		w.spawnBuf[j] = nil
 	}
 	w.spawnBuf = w.spawnBuf[:0]
-	for j, free := range w.retireBuf {
-		w.epoch.Retire(free)
-		w.retireBuf[j] = nil
-	}
-	w.retireBuf = w.retireBuf[:0]
 }
 
 func (w *Worker) invoke(t *Task) {
@@ -636,18 +622,4 @@ func (w *Worker) newTask(fn Func, arg any) *Task {
 	}
 	t.reset(fn, arg)
 	return t
-}
-
-// maybeCollect runs epoch reclamation when the global epoch advanced since
-// the worker last looked (the runtime's ticker plays the paper's 50 ms
-// epoch clock; reclamation itself runs on the worker, like the paper's
-// garbage-collection tasks).
-func (w *Worker) maybeCollect() {
-	g := w.rt.epochMgr.Global()
-	if g != w.lastEpoch {
-		w.lastEpoch = g
-		if freed := w.epoch.Collect(); freed > 0 {
-			w.trace.record(w.id, TraceCollect, uint64(freed))
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/faultfs"
 	"mxtasking/internal/mxtask"
 )
@@ -15,8 +14,6 @@ func newRuntime(workers int) *mxtask.Runtime {
 	rt := mxtask.New(mxtask.Config{
 		Workers:          workers,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	})
 	rt.Start()
 	return rt

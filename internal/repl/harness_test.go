@@ -23,7 +23,6 @@ import (
 	"testing"
 	"time"
 
-	"mxtasking/internal/epoch"
 	"mxtasking/internal/faultfs"
 	"mxtasking/internal/kvstore"
 	"mxtasking/internal/mxtask"
@@ -272,8 +271,6 @@ func (tn *tnode) start(primaryAddr string) error {
 	rt := mxtask.New(mxtask.Config{
 		Workers:          2,
 		PrefetchDistance: 2,
-		EpochPolicy:      epoch.Batched,
-		EpochInterval:    -1,
 	})
 	rt.Start()
 	fail := func(err error) error {

@@ -15,7 +15,7 @@ import (
 // newRuntime starts a small runtime for WAL tests.
 func newRuntime(t testing.TB) *mxtask.Runtime {
 	t.Helper()
-	rt := mxtask.New(mxtask.Config{Workers: 4, EpochInterval: -1})
+	rt := mxtask.New(mxtask.Config{Workers: 4})
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	return rt
